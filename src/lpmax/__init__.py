@@ -3,8 +3,8 @@ forms over L_p balls (p > 2, including p = inf), with certificates, brute-force
 oracles, a CLI, and estimator-style wrappers."""
 
 from .config import SolverConfig
-from .errors import (ConvergenceError, DegenerateInputError, DomainError,
-                     LpmaxError, ResourceLimitError, ShapeError)
+from .errors import (BoundViolationError, ConvergenceError, DegenerateInputError,
+                     DomainError, LpmaxError, ResourceLimitError, ShapeError)
 from .estimators import (HomogeneousPolynomialMaximizer,
                          MultilinearFormMaximizer, PqNormEstimator)
 from .hpopt import HpCertificate, HpInstance, polarize_even, polarize_odd, solve_hp
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SolverConfig",
     "LpmaxError", "ShapeError", "DomainError", "DegenerateInputError",
-    "ResourceLimitError", "ConvergenceError",
+    "ResourceLimitError", "ConvergenceError", "BoundViolationError",
     "Tensor", "as_tensor", "ContractionSpec", "contract", "eval_multilinear",
     "eval_poly", "is_supersymmetric", "tensor_to_doc", "tensor_from_doc",
     "save_tensor", "load_tensor",

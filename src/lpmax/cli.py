@@ -26,9 +26,9 @@ from .errors import (ConvergenceError, DegenerateInputError, DomainError,
                      LpmaxError, ResourceLimitError, ShapeError)
 from .hpopt import HpInstance, solve_hp
 from .mlopt import MlInstance, solve_ml
-from .oracle import exact_ml_linf, grid_hp, grid_ml
+from .oracle import _SIGN_GATE, exact_ml_linf, grid_hp, grid_ml
 from .pqnorm import round_gram, solve_vecp
-from .sampler import derive_rng, sample_count
+from .sampler import STREAM_TRIALS, derive_rng, sample_count
 from .symmetry import symmetrize
 from .tensor import load_tensor, save_tensor
 from .validation import INF, check_p, parse_exponent
@@ -38,8 +38,6 @@ EXIT_DEGENERATE = 3
 EXIT_RESOURCE = 4
 EXIT_NOCONV = 5
 
-_SIGN_GATE = 24
-
 _DEFAULTS = {
     "p": "inf",
     "seed": 0,
@@ -48,7 +46,6 @@ _DEFAULTS = {
     "steps": 33,
     "strategy": "krivine",
     "max_samples": 256,
-    "threads": 1,
     "format": "text",
     "oracle": False,
     "mode": "ml",
@@ -204,7 +201,6 @@ def _solver_config(vals) -> SolverConfig:
         strategy=str(vals["strategy"]),
         max_samples=int(vals["max_samples"]),
         seed=int(vals["seed"]),
-        threads=int(vals["threads"]),
     )
 
 
@@ -214,7 +210,7 @@ def _config_echo(vals, keys) -> dict:
         v = vals[k]
         if k == "tol":
             v = float(v)
-        elif k in ("seed", "trials", "steps", "max_samples", "threads"):
+        elif k in ("seed", "trials", "steps", "max_samples"):
             v = int(v)
         echo[k] = v
     return echo
@@ -225,11 +221,11 @@ def _config_echo(vals, keys) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_solve_ml(file, p, seed=0, trials=100, tol=1e-6, format="text", *,
-                 max_samples=256, threads=1, strategy="krivine",
+                 max_samples=256, strategy="krivine",
                  oracle=False, steps=33) -> RunReport:
     vals = {"p": p, "seed": seed, "trials": trials, "tol": tol, "steps": steps,
-            "strategy": strategy, "max_samples": max_samples, "threads": threads,
-            "format": format, "oracle": oracle, "mode": "ml"}
+            "strategy": strategy, "max_samples": max_samples, "format": format,
+            "oracle": oracle, "mode": "ml"}
     A = _load_file(file)
     pex = _parse_p(vals["p"])
     t0 = time.perf_counter()
@@ -259,8 +255,7 @@ def cmd_solve_ml(file, p, seed=0, trials=100, tol=1e-6, format="text", *,
         command="solve-ml",
         instance=_instance_summary(file, A, pex),
         seed=int(vals["seed"]),
-        config=_config_echo(vals, ("trials", "tol", "max_samples", "threads",
-                                   "strategy", "steps")),
+        config=_config_echo(vals, ("trials", "tol", "max_samples", "strategy", "steps")),
         certificate=certificate,
         oracle=oracle_block,
         timing={"wall_time_s": round(wall, 6)},
@@ -268,11 +263,11 @@ def cmd_solve_ml(file, p, seed=0, trials=100, tol=1e-6, format="text", *,
 
 
 def cmd_solve_hp(file, p, seed=0, trials=100, tol=1e-6, format="text", *,
-                 max_samples=256, threads=1, strategy="krivine",
+                 max_samples=256, strategy="krivine",
                  oracle=False, steps=33) -> RunReport:
     vals = {"p": p, "seed": seed, "trials": trials, "tol": tol, "steps": steps,
-            "strategy": strategy, "max_samples": max_samples, "threads": threads,
-            "format": format, "oracle": oracle, "mode": "hp"}
+            "strategy": strategy, "max_samples": max_samples, "format": format,
+            "oracle": oracle, "mode": "hp"}
     A = _load_file(file)
     pex = _parse_p(vals["p"])
     t0 = time.perf_counter()
@@ -298,8 +293,7 @@ def cmd_solve_hp(file, p, seed=0, trials=100, tol=1e-6, format="text", *,
         command="solve-hp",
         instance=_instance_summary(file, A, pex),
         seed=int(vals["seed"]),
-        config=_config_echo(vals, ("trials", "tol", "max_samples", "threads",
-                                   "strategy", "steps")),
+        config=_config_echo(vals, ("trials", "tol", "max_samples", "strategy", "steps")),
         certificate=certificate,
         oracle=oracle_block,
         timing={"wall_time_s": round(wall, 6)},
@@ -309,7 +303,7 @@ def cmd_solve_hp(file, p, seed=0, trials=100, tol=1e-6, format="text", *,
 def cmd_pqnorm(file, p, strategy="krivine", trials=100, seed=0, format="text", *,
                tol=1e-6, oracle=False, steps=33) -> RunReport:
     vals = {"p": p, "seed": seed, "trials": trials, "tol": tol, "steps": steps,
-            "strategy": strategy, "max_samples": 256, "threads": 1,
+            "strategy": strategy, "max_samples": 256,
             "format": format, "oracle": oracle, "mode": "pqnorm"}
     A = _load_file(file)
     pex = _parse_p(vals["p"])
@@ -319,7 +313,7 @@ def cmd_pqnorm(file, p, strategy="krivine", trials=100, seed=0, format="text", *
         if A.order != 2:
             raise ShapeError(f"pqnorm needs an order-2 tensor, got order {A.order}")
         g = solve_vecp(A.data, pex, tol=float(vals["tol"]))
-        rng = derive_rng(int(vals["seed"]), 0x51)
+        rng = derive_rng(int(vals["seed"]), STREAM_TRIALS)
         pair = round_gram(A.data, g, pex, strategy=str(vals["strategy"]),
                           trials=int(vals["trials"]), rng=rng)
         return g, pair
@@ -410,7 +404,6 @@ def _common_options(fn):
         click.option("--strategy", type=click.Choice(["hyperplane", "krivine"]), default=None),
         click.option("--max-samples", "max_samples", type=int, default=None,
                      help="cap on direction samples per recursion level"),
-        click.option("--threads", type=int, default=None),
         click.option("--format", "fmt", type=click.Choice(["text", "json"]), default=None),
         click.option("--oracle", is_flag=True, default=False,
                      help="also run the independent oracle and report the ratio"),
@@ -428,58 +421,52 @@ def main():
 @main.command("solve-ml")
 @click.argument("file", type=click.Path())
 @_common_options
-def _cli_solve_ml(file, p, seed, trials, tol, steps, strategy, max_samples,
-                  threads, fmt, oracle):
+def _cli_solve_ml(file, p, seed, trials, tol, steps, strategy, max_samples, fmt, oracle):
     """Maximize the multilinear form of FILE over independent L_p balls."""
     try:
         vals = _resolve({"p": p, "seed": seed, "trials": trials, "tol": tol,
                          "steps": steps, "strategy": strategy,
-                         "max_samples": max_samples, "threads": threads,
-                         "format": fmt, "oracle": oracle})
+                         "max_samples": max_samples, "format": fmt, "oracle": oracle})
         _parse_p(vals["p"])
     except (OSError, ValueError, DomainError) as exc:
         _die(EXIT_PARSE, exc)
     report = cmd_solve_ml(file, vals["p"], seed=int(vals["seed"]),
                           trials=int(vals["trials"]), tol=float(vals["tol"]),
                           format=vals["format"], max_samples=int(vals["max_samples"]),
-                          threads=int(vals["threads"]), strategy=vals["strategy"],
-                          oracle=bool(vals["oracle"]), steps=int(vals["steps"]))
+                          strategy=vals["strategy"], oracle=bool(vals["oracle"]),
+                          steps=int(vals["steps"]))
     click.echo(report.render(vals["format"]), nl=False)
 
 
 @main.command("solve-hp")
 @click.argument("file", type=click.Path())
 @_common_options
-def _cli_solve_hp(file, p, seed, trials, tol, steps, strategy, max_samples,
-                  threads, fmt, oracle):
+def _cli_solve_hp(file, p, seed, trials, tol, steps, strategy, max_samples, fmt, oracle):
     """Maximize the homogeneous polynomial of a super-symmetric FILE."""
     try:
         vals = _resolve({"p": p, "seed": seed, "trials": trials, "tol": tol,
                          "steps": steps, "strategy": strategy,
-                         "max_samples": max_samples, "threads": threads,
-                         "format": fmt, "oracle": oracle})
+                         "max_samples": max_samples, "format": fmt, "oracle": oracle})
         _parse_p(vals["p"])
     except (OSError, ValueError, DomainError) as exc:
         _die(EXIT_PARSE, exc)
     report = cmd_solve_hp(file, vals["p"], seed=int(vals["seed"]),
                           trials=int(vals["trials"]), tol=float(vals["tol"]),
                           format=vals["format"], max_samples=int(vals["max_samples"]),
-                          threads=int(vals["threads"]), strategy=vals["strategy"],
-                          oracle=bool(vals["oracle"]), steps=int(vals["steps"]))
+                          strategy=vals["strategy"], oracle=bool(vals["oracle"]),
+                          steps=int(vals["steps"]))
     click.echo(report.render(vals["format"]), nl=False)
 
 
 @main.command("pqnorm")
 @click.argument("file", type=click.Path())
 @_common_options
-def _cli_pqnorm(file, p, seed, trials, tol, steps, strategy, max_samples,
-                threads, fmt, oracle):
+def _cli_pqnorm(file, p, seed, trials, tol, steps, strategy, max_samples, fmt, oracle):
     """Relax and round the bilinear problem for an order-2 FILE."""
     try:
         vals = _resolve({"p": p, "seed": seed, "trials": trials, "tol": tol,
                          "steps": steps, "strategy": strategy,
-                         "max_samples": max_samples, "threads": threads,
-                         "format": fmt, "oracle": oracle})
+                         "max_samples": max_samples, "format": fmt, "oracle": oracle})
         _parse_p(vals["p"])
     except (OSError, ValueError, DomainError) as exc:
         _die(EXIT_PARSE, exc)

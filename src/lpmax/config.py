@@ -22,7 +22,6 @@ class SolverConfig:
     max_samples: int = 256
     seed: int = 0
     dense_cap: int = DENSE_CAP
-    threads: int = 1
 
     def updated(self, **kw) -> "SolverConfig":
         return replace(self, **kw)

@@ -25,6 +25,10 @@ class ResourceLimitError(LpmaxError, RuntimeError):
     """A hard size/budget gate was exceeded."""
 
 
+class BoundViolationError(LpmaxError, RuntimeError):
+    """A computed result breaks a guarantee that the theory proves for it."""
+
+
 class ConvergenceError(LpmaxError, RuntimeError):
     """Iteration cap hit before the stopping rule; carries the best iterate found."""
 

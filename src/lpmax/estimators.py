@@ -14,7 +14,7 @@ from .config import SolverConfig
 from .mlopt import MlInstance, solve_ml
 from .hpopt import HpInstance, solve_hp
 from .pqnorm import round_gram, solve_vecp
-from .sampler import derive_rng
+from .sampler import STREAM_TRIALS, derive_rng
 from .tensor import as_tensor
 from .validation import as_matrix
 
@@ -66,14 +66,13 @@ class MultilinearFormMaximizer(ParamEstimator):
     """
 
     def __init__(self, p=2.5, seed=0, trials=100, tol=1e-6, max_samples=256,
-                 strategy="krivine", threads=1):
+                 strategy="krivine"):
         self.p = p
         self.seed = seed
         self.trials = trials
         self.tol = tol
         self.max_samples = max_samples
         self.strategy = strategy
-        self.threads = threads
 
     def fit(self, A, y=None):
         inst = MlInstance(as_tensor(A), self.p, _config_from(self))
@@ -98,14 +97,13 @@ class HomogeneousPolynomialMaximizer(ParamEstimator):
     """
 
     def __init__(self, p=2.5, seed=0, trials=100, tol=1e-6, max_samples=256,
-                 strategy="krivine", threads=1):
+                 strategy="krivine"):
         self.p = p
         self.seed = seed
         self.trials = trials
         self.tol = tol
         self.max_samples = max_samples
         self.strategy = strategy
-        self.threads = threads
 
     def fit(self, A, y=None):
         inst = HpInstance(as_tensor(A), self.p, _config_from(self))
@@ -143,7 +141,7 @@ class PqNormEstimator(ParamEstimator):
         B = as_matrix(B)
         gram = solve_vecp(B, self.p, tol=self.tol, max_iter=self.max_iter)
         pair = round_gram(B, gram, self.p, strategy=self.strategy,
-                          trials=self.trials, rng=derive_rng(self.seed, 0x51))
+                          trials=self.trials, rng=derive_rng(self.seed, STREAM_TRIALS))
         self.gram_ = gram
         self.relax_value_ = gram.value
         self.value_ = pair.value

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SolverConfig
-from .errors import DegenerateInputError, DomainError, ResourceLimitError, ShapeError
+from .errors import (BoundViolationError, DegenerateInputError, DomainError,
+                     ResourceLimitError, ShapeError)
 from .mlopt import relax_to_ml, solve_ml
-from .tensor import Tensor, as_tensor, is_supersymmetric
+from .tensor import SYM_TOL, Tensor, as_tensor, is_supersymmetric
 from .validation import as_vector, check_p, lp_norm
 
 _BETA_GATE = 20  # 2^d sign patterns are enumerated exhaustively
@@ -29,7 +30,10 @@ _BETA_GATE = 20  # 2^d sign patterns are enumerated exhaustively
 
 @dataclass(frozen=True)
 class HpInstance:
-    """A polynomial maximization problem; the tensor must be super-symmetric."""
+    """A polynomial maximization problem; the tensor must be super-symmetric.
+
+    Asymmetry within ``SYM_TOL`` is averaged away over all index permutations.
+    """
 
     tensor: Tensor
     p: float
@@ -42,9 +46,13 @@ class HpInstance:
         if not t.data.any():
             raise DegenerateInputError("instance tensor is zero")
         if not t.supersymmetric:
-            if not is_supersymmetric(t, 1e-9):
-                raise DomainError("polynomial instances need a super-symmetric tensor")
-            t = Tensor(t.data, supersymmetric=True)
+            data = t.data
+            if not is_supersymmetric(data):
+                if not is_supersymmetric(data, SYM_TOL):
+                    raise DomainError("polynomial instances need a super-symmetric tensor")
+                perms = itertools.permutations(range(t.order))
+                data = sum(np.transpose(data, perm) for perm in perms) / math.factorial(t.order)
+            t = Tensor(data, supersymmetric=True)
         object.__setattr__(self, "tensor", t)
         object.__setattr__(self, "p", check_p(self.p))
 
@@ -153,15 +161,14 @@ def polarize_even(A, xs, p):
 
 
 def solve_hp(inst: HpInstance, rng=None) -> HpCertificate:
-    """relax -> solve_ml -> polarize; odd degrees assert the recovery bound."""
+    """relax -> solve_ml -> polarize; odd degrees raise below the d!/d^d recovery floor."""
     cert = solve_ml(relax_to_ml(inst), rng=rng)
     d = inst.tensor.order
     if d % 2 == 1:
         x_hat, value = polarize_odd(inst.tensor, cert.xs, inst.p)
         floor = math.factorial(d) * d ** (-d) * cert.value - 1e-9
-        assert value >= floor, (
-            f"odd-degree recovery bound violated: {value} < {floor}"
-        )
+        if not value >= floor:  # also rejects NaN
+            raise BoundViolationError(f"odd-degree recovery bound violated: {value} < {floor}")
         parity = "odd"
     else:
         x_hat, value = polarize_even(inst.tensor, cert.xs, inst.p)

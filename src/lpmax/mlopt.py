@@ -7,11 +7,12 @@ normalized p-Gaussians for finite p), contract each into the first slot, and
 recurse on the resulting order-(d-1) tensor, keeping the candidate whose
 recursive solution scores best.  The per-candidate RNG streams are derived
 from (seed, path, index), so enlarging M never changes earlier candidates
-and the best value is monotone in M.
+and the best value is monotone in M.  Candidates that contract to the same
+matrix reuse one relaxation solve within a ``solve_ml`` call; each is still
+rounded on its own stream.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +20,11 @@ import numpy as np
 from .config import SolverConfig
 from .errors import DegenerateInputError, ShapeError
 from .pqnorm import round_gram, solve_vecp
-from .sampler import MASK64, derive_rng, sample_count, sample_pgauss, sample_rademacher
+from .sampler import (MASK64, STREAM_TRIALS, derive_rng, sample_count, sample_pgauss,
+                      sample_rademacher)
 from .tensor import Tensor, as_tensor, eval_multilinear
 from .validation import INF, check_p
 
-_STREAM_TRIALS = 0x51
 _STREAM_CANDIDATE = 0x52
 
 
@@ -67,16 +68,21 @@ def _candidate_vector(n: int, p: float, rng) -> np.ndarray:
     return sample_pgauss(n, p, rng)[1]
 
 
-def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng):
-    g = solve_vecp(arr, p, cfg.tol, cfg.max_iter)
+def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
+    # p, tol and max_iter are fixed within one solve, so the matrix is the key
+    key = (arr.shape, arr.tobytes())
+    g = memo.get(key)
+    if g is None:
+        g = memo[key] = solve_vecp(arr, p, cfg.tol, cfg.max_iter)
     pair = round_gram(arr, g, p, cfg.strategy, cfg.trials, rng)
     return [pair.y, pair.z], pair.value, g.value
 
 
-def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tuple):
+def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tuple,
+               memo: dict):
     d = arr.ndim
     if d == 2:
-        return _solve_d2(arr, p, cfg, derive_rng(root, *path, _STREAM_TRIALS))
+        return _solve_d2(arr, p, cfg, derive_rng(root, *path, STREAM_TRIALS), memo)
     n1 = arr.shape[0]
     M = sample_count(n1, p, amplified=True, max_samples=cfg.max_samples)
 
@@ -88,14 +94,10 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
             # valid zero-scoring candidate: fill remaining slots with basis vectors
             fillers = [np.eye(n)[0] for n in sub.shape]
             return xi, fillers, 0.0, 0.0
-        xs, value, relax = _solve_rec(sub, p, cfg, root, path + (i,))
+        xs, value, relax = _solve_rec(sub, p, cfg, root, path + (i,), memo)
         return xi, xs, value, relax
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, range(M)))
-    else:
-        results = [run(i) for i in range(M)]
+    results = [run(i) for i in range(M)]
 
     best = max(range(M), key=lambda i: results[i][2])  # ties -> first index
     relax_value = max(r[3] for r in results)
@@ -108,12 +110,9 @@ def solve_ml(inst: MlInstance, rng=None) -> MlCertificate:
     """Approximately maximize F_A over d independent L_p balls."""
     A, p, cfg = inst.tensor, inst.p, inst.cfg
     root = int(cfg.seed) & MASK64 if rng is None else int(rng.integers(1 << 63))
-    if A.order == 2:
-        xs, value, relax = _solve_d2(A.data, p, cfg, derive_rng(root, _STREAM_TRIALS))
-        trials_used = cfg.trials
-    else:
-        xs, _value, relax = _solve_rec(A.data, p, cfg, root, ())
-        trials_used = sample_count(A.dims[0], p, amplified=True, max_samples=cfg.max_samples)
+    xs, _value, relax = _solve_rec(A.data, p, cfg, root, (), {})
+    trials_used = cfg.trials if A.order == 2 else \
+        sample_count(A.dims[0], p, amplified=True, max_samples=cfg.max_samples)
     value = eval_multilinear(A, xs)
     if value < 0.0:
         xs[0] = -xs[0]

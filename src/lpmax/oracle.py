@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, ShapeError
 from .pqnorm import holder_dual
 from .symmetry import symmetrize
-from .tensor import as_tensor, eval_multilinear, is_supersymmetric
+from .tensor import SYM_TOL, as_tensor, eval_multilinear, is_supersymmetric
 from .validation import INF, check_p, conjugate_exponent
 
 GRID_BUDGET = 10 ** 8
@@ -315,7 +315,7 @@ def grid_hp(A, p, steps, refine=0) -> OracleResult:
     p, steps = _check_grid_args(p, steps)
     if A.order < 2:
         raise ShapeError("grid_hp needs a tensor of order >= 2")
-    if not A.supersymmetric and not is_supersymmetric(A, 1e-9):
+    if not A.supersymmetric and not is_supersymmetric(A, SYM_TOL):
         raise DomainError("grid_hp needs a super-symmetric tensor")
     n = A.dims[0]
     if _surface_count(n, steps) > GRID_BUDGET:

@@ -23,12 +23,11 @@ import numpy as np
 
 from .config import SolverConfig
 from .errors import ConvergenceError, DegenerateInputError, DomainError
-from .sampler import derive_rng
+from .sampler import STREAM_TRIALS, derive_rng
 from .validation import INF, as_matrix, check_p, lp_norm
 
 KRIVINE_C = math.log(1.0 + math.sqrt(2.0))  # sinh(KRIVINE_C) = 1
 KG_BOUND = math.pi / (2.0 * KRIVINE_C)  # < 1.783
-_STREAM_TRIALS = 0x51
 
 
 @dataclass(frozen=True)
@@ -445,7 +444,7 @@ def round_gram(B, g: GramSolution, p, strategy: str = "krivine", trials: int = 1
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if rng is None:
-        rng = derive_rng(0, _STREAM_TRIALS)
+        rng = derive_rng(0, STREAM_TRIALS)
     vals, Y, Z = _trial_sign_values(B, g, strategy, int(trials), rng)
     i = int(np.argmax(np.abs(vals)))
     y, z = Y[i].copy(), Z[i].copy()
@@ -463,5 +462,5 @@ def pq_norm_lb(B, p, cfg: SolverConfig | None = None, rng=None) -> RoundedPair:
     cfg = cfg or SolverConfig()
     g = solve_vecp(B, p, cfg.tol, cfg.max_iter)
     if rng is None:
-        rng = derive_rng(cfg.seed, _STREAM_TRIALS)
+        rng = derive_rng(cfg.seed, STREAM_TRIALS)
     return round_gram(B, g, p, cfg.strategy, cfg.trials, rng)

@@ -17,6 +17,7 @@ from .errors import DomainError
 from .validation import INF, check_p, lp_norm
 
 MASK64 = (1 << 64) - 1
+STREAM_TRIALS = 0x51  # path element of every rounding-trial stream
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:

@@ -20,6 +20,8 @@ from .config import DENSE_CAP
 from .errors import DomainError, ResourceLimitError, ShapeError
 from .validation import as_vector
 
+SYM_TOL = 1e-9  # asymmetry polynomial inputs may carry, relative to 1 + max|a|
+
 
 class Tensor:
     """Immutable dense real tensor in row-major storage.
@@ -124,7 +126,7 @@ def contract(A, spec: ContractionSpec) -> Tensor:
     return Tensor(out)
 
 
-def eval_poly(A, x, *, tol: float = 1e-9) -> float:
+def eval_poly(A, x, *, tol: float = SYM_TOL) -> float:
     """f_A(x) = F_A(x, ..., x); requires a super-symmetric tensor."""
     arr = _raw(A)
     flagged = isinstance(A, Tensor) and A.supersymmetric

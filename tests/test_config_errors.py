@@ -4,6 +4,7 @@ import pytest
 
 from lpmax.config import SolverConfig
 from lpmax.errors import (
+    BoundViolationError,
     ConvergenceError,
     DegenerateInputError,
     DomainError,
@@ -20,7 +21,6 @@ def test_config_defaults():
     assert cfg.strategy == "krivine"
     assert cfg.max_samples == 256
     assert cfg.seed == 0
-    assert cfg.threads == 1
 
 
 def test_config_frozen_and_updated():
@@ -40,9 +40,10 @@ def test_error_hierarchy():
     assert issubclass(DegenerateInputError, DomainError)
     assert issubclass(ResourceLimitError, RuntimeError)
     assert issubclass(ConvergenceError, RuntimeError)
+    assert issubclass(BoundViolationError, RuntimeError)
     # one except clause can catch everything the package raises
     for exc in (ShapeError, DomainError, DegenerateInputError,
-                ResourceLimitError, ConvergenceError):
+                ResourceLimitError, ConvergenceError, BoundViolationError):
         with pytest.raises(LpmaxError):
             raise exc("boom")
 

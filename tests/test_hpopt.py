@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from lpmax import hpopt
 from lpmax.config import SolverConfig
-from lpmax.errors import DegenerateInputError, DomainError, ResourceLimitError, ShapeError
+from lpmax.errors import (DegenerateInputError, DomainError, LpmaxError,
+                          ResourceLimitError, ShapeError)
 from lpmax.hpopt import HpCertificate, HpInstance, polarize_even, polarize_odd, solve_hp
-from lpmax.tensor import Tensor, eval_multilinear, eval_poly
+from lpmax.tensor import SYM_TOL, Tensor, eval_multilinear, eval_poly, is_supersymmetric
 from lpmax.validation import INF, lp_norm
 
 from conftest import random_supersym
@@ -27,6 +29,19 @@ def test_instance_validation(rng):
         HpInstance(np.ones(2), INF)
     inst = HpInstance(random_supersym(rng, 2, 3), INF)
     assert inst.tensor.supersymmetric  # revalidated and flagged
+
+
+def test_instance_symmetrizes_within_tolerance(rng):
+    # accepted asymmetry below SYM_TOL must not trip the strict Tensor check
+    S = random_supersym(rng, 3, 3)
+    S[0, 1, 2] += 1e-10
+    assert 1e-10 < SYM_TOL and not is_supersymmetric(S)
+    inst = HpInstance(S, INF)
+    assert inst.tensor.supersymmetric and is_supersymmetric(inst.tensor.data)
+    assert np.allclose(inst.tensor.data, S, atol=1e-10)
+    # data that already passes the strict check is kept bit for bit
+    T = random_supersym(rng, 3, 3)
+    assert np.array_equal(HpInstance(T, INF).tensor.data, T)
 
 
 def test_polarization_identity(rng):
@@ -144,3 +159,10 @@ def test_solve_hp_known_optimum():
     cert = solve_hp(HpInstance(A, INF, SolverConfig(seed=0, trials=50, max_samples=8)))
     assert cert.value <= 3.0 + 1e-9
     assert cert.value >= 3.0 * math.factorial(3) * 3 ** (-3) - 1e-9
+
+
+def test_solve_hp_floor_violation_raises_package_error(rng, monkeypatch):
+    # the odd-degree floor is enforced by a check that survives python -O
+    monkeypatch.setattr(hpopt, "polarize_odd", lambda A, xs, p: (xs[0], -1.0))
+    with pytest.raises(LpmaxError, match="recovery bound"):
+        solve_hp(HpInstance(random_supersym(rng, 2, 3), INF, small_cfg()))

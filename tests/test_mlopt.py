@@ -1,13 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from lpmax import mlopt
 from lpmax.config import SolverConfig
-from lpmax.errors import DegenerateInputError, DomainError, ShapeError
+from lpmax.errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
+from lpmax.hpopt import HpInstance, solve_hp
 from lpmax.mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
-from lpmax.pqnorm import KG_BOUND, pq_norm_lb
+from lpmax.pqnorm import KG_BOUND, pq_norm_lb, solve_vecp
 from lpmax.sampler import sample_count
 from lpmax.tensor import eval_multilinear
 from lpmax.validation import INF, lp_norm
+
+from conftest import random_supersym
 
 
 def small_cfg(seed=0, **kw):
@@ -77,15 +83,6 @@ def test_deterministic_given_seed(rng):
         assert np.array_equal(x, y)
 
 
-def test_threads_do_not_change_result(rng):
-    A = rng.standard_normal((3, 2, 2))
-    a = solve_ml(MlInstance(A, INF, small_cfg(seed=3)))
-    b = solve_ml(MlInstance(A, INF, small_cfg(seed=3, threads=2)))
-    assert a.value == b.value
-    for x, y in zip(a.xs, b.xs):
-        assert np.array_equal(x, y)
-
-
 def test_sign_normalization():
     A = np.zeros((2, 2, 2))
     A[0, 0, 0] = -5.0
@@ -103,10 +100,6 @@ def test_duplicate_slices_handle_zero_contractions():
 
 
 def test_relax_to_ml_passes_config_through(rng):
-    from lpmax.hpopt import HpInstance
-
-    from conftest import random_supersym
-
     S = random_supersym(rng, 2, 3)
     hp = HpInstance(S, 3.0, small_cfg(seed=4))
     ml = relax_to_ml(hp)
@@ -123,3 +116,93 @@ def test_seed_changes_candidates(rng):
     assert a.value != b.value or not all(
         np.array_equal(x, y) for x, y in zip(a.xs, b.xs)
     )
+
+
+def test_distinct_candidates_solved_once(rng, monkeypatch):
+    # a 3-long slot has 2^3 sign vectors, so at most 8 of the M = 103 p = inf
+    # candidates contract to distinct matrices; repeats reuse the relaxation
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve_vecp(*args, **kwargs)
+
+    monkeypatch.setattr(mlopt, "solve_vecp", counting)
+    A = rng.standard_normal((3, 2, 2))
+    cert = solve_ml(MlInstance(A, INF, SolverConfig(seed=3, trials=24)))
+    assert cert.trials_used == sample_count(3, INF) == 103
+    assert 0 < len(calls) <= 2 ** 3
+
+
+def test_convergence_error_propagates_and_is_not_kept(rng, monkeypatch):
+    inst = MlInstance(rng.standard_normal((3, 2, 2)), INF, small_cfg(seed=3))
+    expected = solve_ml(inst)
+
+    def failing(*args, **kwargs):
+        raise ConvergenceError("iteration cap hit")
+
+    monkeypatch.setattr(mlopt, "solve_vecp", failing)
+    with pytest.raises(ConvergenceError):
+        solve_ml(inst)
+    monkeypatch.undo()
+    again = solve_ml(inst)
+    assert again.value == expected.value
+    assert all(np.array_equal(x, y) for x, y in zip(again.xs, expected.xs))
+
+
+def _digests(xs):
+    return [hashlib.sha256(np.asarray(x).tobytes()).hexdigest() for x in xs]
+
+
+# Certificates computed before candidate relaxations were shared within a
+# solve.  Sharing reuses bit-identical solves only, so every bit must match.
+_PINNED_ML = [
+    # (data seed, dims, p, config, value, relax_value, sha256 of each xs[i])
+    (101, (3, 3, 3), INF, dict(seed=1), 12.16447182510679, 12.164471825106789, [
+        "a906b5c6c576156b8dafa08ea066bd0a15913831fc0786f077d681f2d1a918e4",
+        "62a2ea5b4ca4ef4893cb5b44a07d87ff3d8fc32d841a33a834c2e0eae59f1a2c",
+        "7104782d6bdc0fdba5f94a4023afa0312e8e90258a7090d2dd0743633c47cc38"]),
+    (102, (4, 3, 2), INF, dict(seed=2, trials=40), 15.625768199252253, 15.637820364066576, [
+        "ca86087ad435069fb6add3ecb9a4a2a166da9bf8e647969cc8d6691202c67a6e",
+        "a906b5c6c576156b8dafa08ea066bd0a15913831fc0786f077d681f2d1a918e4",
+        "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5"]),
+    (103, (2, 4, 3), INF, dict(seed=3, trials=24, max_samples=40),
+     12.673492043142751, 14.350571805647895, [
+        "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
+        "ca86087ad435069fb6add3ecb9a4a2a166da9bf8e647969cc8d6691202c67a6e",
+        "159a9057eb75c1de2efc86707155d0f57cdc58fc8a6fe4aa62ced46dc3c12046"]),
+    (104, (2, 2, 2, 2), INF, dict(seed=4, trials=16, max_samples=12),
+     5.974052155936818, 5.9740521559368185, [
+        "b74fce6cd8bcafd014a1ce8c6585beac59c5f4098a6d499f5d1d42d464146633",
+        "b74fce6cd8bcafd014a1ce8c6585beac59c5f4098a6d499f5d1d42d464146633",
+        "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
+        "e077172409ed971e7cbc8aaf3f5fc99ffd5806da65b60973369d000cf6a32fc6"]),
+    (105, (3, 3, 3), 4.0, dict(seed=5, trials=24, max_samples=8),
+     5.444007712706796, 5.444007712706795, [
+        "90d76fb992c7044ae85773be3555c90a6e7c976fe2ac3b23d59fb5f5ee18e67f",
+        "18cee3e30f10d9efdf80bf05026c714650329fb2c2eeb0e3a83084c2d238f4b3",
+        "0ed5334b0c1ed9c7f7b16af518dd0dfc795f15e38d2497c2505a9ea9db099578"]),
+    (106, (3, 2, 3), 4.0, dict(seed=6, trials=24, max_samples=6),
+     4.18717322261845, 4.18717322261845, [
+        "0ffbe0fc95ca419815e260337ed252797063af84b59c69aca7988ef776ad92d7",
+        "888b8cd6c8db0e192a1212b2b12b774cc45cfa204425d8b0b937d9b741c7ac26",
+        "245ccb99e082f3d71c7b0c81fc9a18233775938d9a40e4084a36e937175eeee1"]),
+]
+
+
+@pytest.mark.parametrize("seed,dims,p,kw,value,relax,digests", _PINNED_ML)
+def test_pinned_ml_certificates(seed, dims, p, kw, value, relax, digests):
+    A = np.random.default_rng(seed).standard_normal(dims)
+    cert = solve_ml(MlInstance(A, p, SolverConfig(**kw)))
+    assert cert.value == value
+    assert cert.relax_value == relax
+    assert _digests(cert.xs) == digests
+
+
+def test_pinned_hp_certificate():
+    S = random_supersym(np.random.default_rng(107), 3, 3)
+    cert = solve_hp(HpInstance(S, INF, SolverConfig(seed=7, trials=40)))
+    assert cert.value == 9.76616873029814
+    assert cert.ml_value == 9.76616873029814
+    assert _digests([cert.x_hat]) == [
+        "62a2ea5b4ca4ef4893cb5b44a07d87ff3d8fc32d841a33a834c2e0eae59f1a2c"]

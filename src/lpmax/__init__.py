@@ -10,9 +10,9 @@ from .estimators import (HomogeneousPolynomialMaximizer,
 from .hpopt import HpCertificate, HpInstance, polarize_even, polarize_odd, solve_hp
 from .mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
 from .oracle import (OracleMethod, OracleResult, exact_ml_linf, fn_check,
-                     grid_hp, grid_ml, sym_equivalence_check)
+                     grid_hp, grid_ml, oracle_ml, sym_equivalence_check)
 from .pqnorm import (GramSolution, RoundedPair, holder_dual, pq_norm_lb,
-                     project_lp_ball, round_gram, solve_vecp)
+                     project_lp_ball, round_gram, solve_vecp, solve_vecp_stack)
 from .sampler import KN, derive_rng, sample_count, sample_pgauss, sample_rademacher
 from .symmetry import (BlockPartition, embed_matrix, permutation_expansion,
                        pi_transpose, rebalance_blocks, split, stack, symmetrize)
@@ -34,10 +34,10 @@ __all__ = [
     "embed_matrix", "rebalance_blocks", "permutation_expansion",
     "KN", "derive_rng", "sample_rademacher", "sample_pgauss", "sample_count",
     "GramSolution", "RoundedPair", "holder_dual", "project_lp_ball",
-    "solve_vecp", "round_gram", "pq_norm_lb",
+    "solve_vecp", "solve_vecp_stack", "round_gram", "pq_norm_lb",
     "MlInstance", "MlCertificate", "solve_ml", "solve_ml_d2", "relax_to_ml",
     "HpInstance", "HpCertificate", "solve_hp", "polarize_odd", "polarize_even",
-    "OracleMethod", "OracleResult", "exact_ml_linf", "grid_ml", "grid_hp",
+    "OracleMethod", "OracleResult", "exact_ml_linf", "grid_ml", "grid_hp", "oracle_ml",
     "fn_check", "sym_equivalence_check",
     "MultilinearFormMaximizer", "HomogeneousPolynomialMaximizer", "PqNormEstimator",
     "conjugate_exponent", "lp_norm", "parse_exponent",

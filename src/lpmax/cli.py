@@ -6,8 +6,11 @@ byte comparisons.  Every flag has a config-file equivalent; the JSON file
 named by the LPMAX_CONFIG environment variable supplies defaults with
 precedence flag > config file > built-in default.
 
+Flag values and config-file values pass the same click type checks, so a
+bad value from either source exits 2 before any solve.
+
 Exit codes: 0 success, 2 parse/usage error, 3 degenerate or infeasible
-instance, 4 resource gate, 5 non-convergence.
+instance, 4 resource gate, 5 non-convergence, 6 violated recovery bound.
 """
 from __future__ import annotations
 
@@ -22,11 +25,11 @@ import click
 import numpy as np
 
 from .config import SolverConfig
-from .errors import (ConvergenceError, DegenerateInputError, DomainError,
-                     LpmaxError, ResourceLimitError, ShapeError)
+from .errors import (BoundViolationError, ConvergenceError, DegenerateInputError,
+                     DomainError, LpmaxError, ResourceLimitError, ShapeError)
 from .hpopt import HpInstance, solve_hp
 from .mlopt import MlInstance, solve_ml
-from .oracle import _SIGN_GATE, exact_ml_linf, grid_hp, grid_ml
+from .oracle import grid_hp, oracle_ml
 from .pqnorm import round_gram, solve_vecp
 from .sampler import STREAM_TRIALS, derive_rng, sample_count
 from .symmetry import symmetrize
@@ -37,6 +40,7 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_RESOURCE = 4
 EXIT_NOCONV = 5
+EXIT_BOUND = 6
 
 _DEFAULTS = {
     "p": "inf",
@@ -49,6 +53,19 @@ _DEFAULTS = {
     "format": "text",
     "oracle": False,
     "mode": "ml",
+}
+
+# one click type per setting ("p" is parsed by _parse_p)
+_TYPES = {
+    "seed": click.INT,
+    "trials": click.IntRange(min=1),
+    "tol": click.FLOAT,
+    "steps": click.INT,
+    "strategy": click.Choice(["hyperplane", "krivine"]),
+    "max_samples": click.IntRange(min=1),
+    "format": click.Choice(["text", "json"]),
+    "oracle": click.BOOL,
+    "mode": click.Choice(["ml", "hp", "pqnorm"]),
 }
 
 
@@ -138,13 +155,19 @@ def _config_defaults():
 
 
 def _resolve(flags: dict) -> dict:
-    """Apply precedence flag > config file > default for every known key."""
+    """Apply precedence flag > config file > default for every known key, and
+    check each value against its click type; ValueError on a bad value."""
     config = _config_defaults()
     out = {}
     for key, default in _DEFAULTS.items():
         v = flags.get(key)
         if v is None or (key == "oracle" and v is False):
             v = config.get(key, default)
+        if key in _TYPES:
+            try:
+                v = _TYPES[key].convert(v, None, None)
+            except click.BadParameter as exc:
+                raise ValueError(f"invalid {key}: {exc.message}") from exc
         out[key] = v
     return out
 
@@ -166,6 +189,8 @@ def _guard_solve(fn):
         return fn()
     except ConvergenceError as exc:
         _die(EXIT_NOCONV, exc)
+    except BoundViolationError as exc:
+        _die(EXIT_BOUND, exc)
     except ResourceLimitError as exc:
         _die(EXIT_RESOURCE, exc)
     except (DegenerateInputError, DomainError, ShapeError) as exc:
@@ -174,12 +199,6 @@ def _guard_solve(fn):
 
 def _instance_summary(path, A, p) -> dict:
     return {"file": str(path), "dims": list(A.dims), "order": A.order, "p": _p_str(p)}
-
-
-def _oracle_ml(A, p, steps):
-    if p == INF and sum(A.dims) <= _SIGN_GATE:
-        return exact_ml_linf(A)
-    return grid_ml(A, p, steps, refine=6)
 
 
 def _oracle_block(res, value) -> dict:
@@ -248,7 +267,7 @@ def cmd_solve_ml(file, p, seed=0, trials=100, tol=1e-6, format="text", *,
     }
     oracle_block = None
     if vals["oracle"]:
-        res = _guard_solve(lambda: _oracle_ml(A, pex, int(vals["steps"])))
+        res = _guard_solve(lambda: oracle_ml(A, pex, int(vals["steps"]), refine=6))
         oracle_block = _oracle_block(res, cert.value)
     wall = time.perf_counter() - t0
     return RunReport(
@@ -327,7 +346,7 @@ def cmd_pqnorm(file, p, strategy="krivine", trials=100, seed=0, format="text", *
     }
     oracle_block = None
     if vals["oracle"]:
-        res = _guard_solve(lambda: _oracle_ml(A, pex, int(vals["steps"])))
+        res = _guard_solve(lambda: oracle_ml(A, pex, int(vals["steps"]), refine=6))
         oracle_block = _oracle_block(res, pair.value)
     wall = time.perf_counter() - t0
     return RunReport(
@@ -362,13 +381,13 @@ def cmd_oracle(file, p, mode="ml", steps=33, format="text") -> RunReport:
         m = str(vals["mode"])
         s = int(vals["steps"])
         if m == "ml":
-            return _oracle_ml(A, pex, s)
+            return oracle_ml(A, pex, s, refine=6)
         if m == "hp":
             return grid_hp(A, pex, s, refine=8)
         if m == "pqnorm":
             if A.order != 2:
                 raise ShapeError("pqnorm oracle needs an order-2 tensor")
-            return _oracle_ml(A, pex, s)
+            return oracle_ml(A, pex, s, refine=6)
         raise DomainError(f"unknown oracle mode {m!r}")
 
     res = _guard_solve(body)
@@ -397,14 +416,15 @@ def cmd_oracle(file, p, mode="ml", steps=33, format="text") -> RunReport:
 def _common_options(fn):
     opts = [
         click.option("--p", "p", default=None, help="exponent in (2, inf]: rational like 5/2, decimal, or inf"),
-        click.option("--seed", type=int, default=None),
-        click.option("--trials", type=int, default=None, help="rounding trials per matrix subproblem"),
-        click.option("--tol", type=float, default=None),
-        click.option("--steps", type=int, default=None, help="oracle grid points per axis"),
-        click.option("--strategy", type=click.Choice(["hyperplane", "krivine"]), default=None),
-        click.option("--max-samples", "max_samples", type=int, default=None,
+        click.option("--seed", type=_TYPES["seed"], default=None),
+        click.option("--trials", type=_TYPES["trials"], default=None,
+                     help="rounding trials per matrix subproblem"),
+        click.option("--tol", type=_TYPES["tol"], default=None),
+        click.option("--steps", type=_TYPES["steps"], default=None, help="oracle grid points per axis"),
+        click.option("--strategy", type=_TYPES["strategy"], default=None),
+        click.option("--max-samples", "max_samples", type=_TYPES["max_samples"], default=None,
                      help="cap on direction samples per recursion level"),
-        click.option("--format", "fmt", type=click.Choice(["text", "json"]), default=None),
+        click.option("--format", "fmt", type=_TYPES["format"], default=None),
         click.option("--oracle", is_flag=True, default=False,
                      help="also run the independent oracle and report the ratio"),
     ]
@@ -488,9 +508,9 @@ def _cli_symmetrize(file, out):
 @main.command("oracle")
 @click.argument("file", type=click.Path())
 @click.option("--p", "p", default=None)
-@click.option("--mode", type=click.Choice(["ml", "hp", "pqnorm"]), default=None)
-@click.option("--steps", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default=None)
+@click.option("--mode", type=_TYPES["mode"], default=None)
+@click.option("--steps", type=_TYPES["steps"], default=None)
+@click.option("--format", "fmt", type=_TYPES["format"], default=None)
 def _cli_oracle(file, p, mode, steps, fmt):
     """Independent brute-force value for FILE (never reads solver state)."""
     try:

@@ -7,9 +7,11 @@ normalized p-Gaussians for finite p), contract each into the first slot, and
 recurse on the resulting order-(d-1) tensor, keeping the candidate whose
 recursive solution scores best.  The per-candidate RNG streams are derived
 from (seed, path, index), so enlarging M never changes earlier candidates
-and the best value is monotone in M.  Candidates that contract to the same
-matrix reuse one relaxation solve within a ``solve_ml`` call; each is still
-rounded on its own stream.
+and the best value is monotone in M.  On a level whose candidates contract
+to matrices, the distinct matrices not yet solved go to one stacked
+relaxation solve (:func:`lpmax.pqnorm.solve_vecp_stack`); candidates that
+contract to the same matrix reuse that solve within a ``solve_ml`` call, and
+each is still rounded on its own stream.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .config import SolverConfig
 from .errors import DegenerateInputError, ShapeError
-from .pqnorm import round_gram, solve_vecp
+from .pqnorm import round_gram, solve_vecp, solve_vecp_stack
 from .sampler import (MASK64, STREAM_TRIALS, derive_rng, sample_count, sample_pgauss,
                       sample_rademacher)
 from .tensor import Tensor, as_tensor, eval_multilinear
@@ -68,11 +70,31 @@ def _candidate_vector(n: int, p: float, rng) -> np.ndarray:
     return sample_pgauss(n, p, rng)[1]
 
 
-def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
+def _key(arr: np.ndarray):
     # p, tol and max_iter are fixed within one solve, so the matrix is the key
-    key = (arr.shape, arr.tobytes())
+    return arr.shape, arr.tobytes()
+
+
+def _solve_distinct(subs, p: float, cfg: SolverConfig, memo: dict) -> None:
+    """Solve the distinct nonzero matrices in ``subs`` missing from ``memo`` as
+    one stack, and keep the converged solutions."""
+    todo = {}
+    for sub in subs:
+        key = _key(sub)
+        if sub.any() and key not in memo:
+            todo.setdefault(key, sub)
+    if todo:
+        solved = solve_vecp_stack(np.stack(list(todo.values())), p, cfg.tol, cfg.max_iter)
+        for key, (g, converged) in zip(todo, solved):
+            if converged:
+                memo[key] = g
+
+
+def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
+    key = _key(arr)
     g = memo.get(key)
     if g is None:
+        # a miss after _solve_distinct re-solves, so non-convergence raises here
         g = memo[key] = solve_vecp(arr, p, cfg.tol, cfg.max_iter)
     pair = round_gram(arr, g, p, cfg.strategy, cfg.trials, rng)
     return [pair.y, pair.z], pair.value, g.value
@@ -86,10 +108,11 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
     n1 = arr.shape[0]
     M = sample_count(n1, p, amplified=True, max_samples=cfg.max_samples)
 
-    def run(i: int):
-        rng = derive_rng(root, *path, _STREAM_CANDIDATE, i)
-        xi = _candidate_vector(n1, p, rng)
-        sub = np.tensordot(arr, xi, axes=(0, 0))
+    def candidate(i: int):
+        xi = _candidate_vector(n1, p, derive_rng(root, *path, _STREAM_CANDIDATE, i))
+        return xi, np.tensordot(arr, xi, axes=(0, 0))
+
+    def run(i: int, xi, sub):
         if not sub.any():
             # valid zero-scoring candidate: fill remaining slots with basis vectors
             fillers = [np.eye(n)[0] for n in sub.shape]
@@ -97,7 +120,11 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
         xs, value, relax = _solve_rec(sub, p, cfg, root, path + (i,), memo)
         return xi, xs, value, relax
 
-    results = [run(i) for i in range(M)]
+    cands = map(candidate, range(M))
+    if d == 3:
+        cands = list(cands)
+        _solve_distinct([sub for _, sub in cands], p, cfg, memo)
+    results = [run(i, xi, sub) for i, (xi, sub) in enumerate(cands)]
 
     best = max(range(M), key=lambda i: results[i][2])  # ties -> first index
     relax_value = max(r[3] for r in results)

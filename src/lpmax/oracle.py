@@ -296,6 +296,19 @@ def grid_ml(A, p, steps, refine=0) -> OracleResult:
                         resolution=2.0 / (steps - 1))
 
 
+def oracle_ml(A, p, steps, refine=0) -> OracleResult:
+    """Multilinear optimum over L_p balls by the strongest affordable method.
+
+    Exact sign enumeration when p = inf and sum(dims) <= _SIGN_GATE;
+    otherwise grid_ml with ``steps`` points per axis and ``refine`` polished
+    candidates.
+    """
+    A = as_tensor(A)
+    if p == INF and sum(A.dims) <= _SIGN_GATE:
+        return exact_ml_linf(A)
+    return grid_ml(A, p, steps, refine=refine)
+
+
 def _poly_rows(arr, X):
     d = arr.ndim
     letters = "abcdefghijkl"[:d]
@@ -402,14 +415,9 @@ def sym_equivalence_check(A, p, steps) -> bool:
     S = symmetrize(A)
     d = A.order
 
-    def ml_opt(T):
-        if p == INF and sum(T.dims) <= _SIGN_GATE:
-            return exact_ml_linf(T).value
-        return grid_ml(T, p, steps, refine=4).value
-
     ipow = 0.0 if p == INF else 1.0 / p
-    lhs = math.factorial(d) * ml_opt(A)
-    rhs = float(d) ** (d * ipow) * ml_opt(S)
+    lhs = math.factorial(d) * oracle_ml(A, p, steps, refine=4).value
+    rhs = float(d) ** (d * ipow) * oracle_ml(S, p, steps, refine=4).value
     scale = max(1.0, abs(lhs), abs(rhs))
     tol = max(1e-6, 0.5 / (steps - 1))
     return bool(abs(lhs - rhs) <= tol * scale)

@@ -13,6 +13,13 @@ solve_vecp maximizes the relaxation, round_gram turns its Gram factorization
 into a feasible sign pair (hyperplane rounding, or Krivine rounding whose
 single-trial expectation is (2 ln(1+sqrt 2)/pi) * relaxation value), and
 pq_norm_lb chains the two.
+
+The solver has one implementation, which works on a (k, m, n) stack of
+same-shape matrices: solve_vecp_stack.  Each matrix keeps its own step size,
+counters and stopping rule and leaves the active set when it stops, and every
+operation on the stack is one whose per-matrix result equals the unstacked
+operation bit for bit, so a row of a stacked solve is exactly the solo solve.
+solve_vecp is the stack of one.
 """
 from __future__ import annotations
 
@@ -22,12 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SolverConfig
-from .errors import ConvergenceError, DegenerateInputError, DomainError
+from .errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from .sampler import STREAM_TRIALS, derive_rng
-from .validation import INF, as_matrix, check_p, lp_norm
+from .validation import INF, as_float_array, as_matrix, check_p, lp_norm
 
 KRIVINE_C = math.log(1.0 + math.sqrt(2.0))  # sinh(KRIVINE_C) = 1
 KG_BOUND = math.pi / (2.0 * KRIVINE_C)  # < 1.783
+# entries of one (k, N, N) working array of a stacked solve (64 KB); longer
+# stacks are solved in chunks, which bounds the solver's working memory at
+# about twenty such arrays whatever k and N are
+_STACK_ELEMS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -76,13 +87,21 @@ def holder_dual(y, q) -> np.ndarray:
 # projections
 # ---------------------------------------------------------------------------
 
+def _psd_part(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    # np.maximum is what np.clip(w, 0.0, None) computes, without its wrappers
+    return (V * np.maximum(w, 0.0)[:, None, :]) @ V.swapaxes(1, 2)
+
+
 def _proj_psd(S: np.ndarray) -> np.ndarray:
-    S = 0.5 * (S + S.T)
+    """Nearest psd matrix to the symmetric part of each slice of a stack."""
+    S = 0.5 * (S + S.swapaxes(1, 2))
     w, V = np.linalg.eigh(S)
-    if w[0] >= 0.0:
-        return S
-    w = np.clip(w, 0.0, None)
-    return (V * w) @ V.T
+    neg = ~(w[:, 0] >= 0.0)
+    if neg.all():  # the common case needs no row selection
+        return _psd_part(w, V)
+    if neg.any():
+        S[neg] = _psd_part(w[neg], V[neg])
+    return S
 
 
 def _inner_newton(a: np.ndarray, mu: float, s: float, x0=None) -> np.ndarray:
@@ -213,34 +232,56 @@ def project_lp_ball(y, s, *, mult_tol: float = 1e-12) -> np.ndarray:
     return _proj_ball_core(y, sf, mult_tol, None)
 
 
-def _proj_diag(T: np.ndarray, p: float, m: int, states=None,
-               mult_tol: float = 1e-12) -> np.ndarray:
-    """Project onto the set with unconstrained off-diagonals and per-block
-    diagonal vectors inside the L_{p/2} ball (box [-1,1] for p = inf)."""
+def _proj_ball_rows(Y: np.ndarray, s: float, mult_tol: float, states, j: int) -> np.ndarray:
+    """_proj_ball_core on each row of Y, with warm start states[row][j].
+
+    The closed-form s = 2 case is vectorized (dividing by sqrt(1.0) leaves a
+    row inside the ball bit-equal to its copy); other exponents run the
+    multiplier search row by row.
+    """
+    if s == 2.0:
+        total = np.add.reduce(np.abs(Y) ** s, axis=1)
+        return Y / np.sqrt(np.maximum(total, 1.0))[:, None]
+    return np.array([_proj_ball_core(y, s, mult_tol, st[j]) for y, st in zip(Y, states)])
+
+
+def _proj_diag(T: np.ndarray, p: float, m: int, states, mult_tol: float) -> np.ndarray:
+    """Project each slice onto the set with unconstrained off-diagonals and
+    per-block diagonal vectors inside the L_{p/2} ball (box [-1,1] for p = inf).
+
+    ``states`` holds one (u block, v block) pair of warm starts per slice.
+    """
+    k, N = T.shape[:2]
     out = T.copy()
-    diag = np.diagonal(T).copy()
+    diag = np.diagonal(T, axis1=1, axis2=2).copy()
     if p == INF:
         diag = np.clip(diag, -1.0, 1.0)
     else:
         s = p / 2.0
-        su = states[0] if states is not None else None
-        sv = states[1] if states is not None else None
-        diag[:m] = _proj_ball_core(diag[:m], s, mult_tol, su)
-        diag[m:] = _proj_ball_core(diag[m:], s, mult_tol, sv)
-    np.fill_diagonal(out, diag)
+        diag[:, :m] = _proj_ball_rows(diag[:, :m], s, mult_tol, states, 0)
+        diag[:, m:] = _proj_ball_rows(diag[:, m:], s, mult_tol, states, 1)
+    out.reshape(k, N * N)[:, ::N + 1] = diag
     return out
 
 
-def _project_feasible(Y: np.ndarray, p: float, m: int, *, sweeps: int = 40,
-                      tol: float = 1e-12, states=None,
-                      mult_tol: float = 1e-12) -> np.ndarray:
+def _fro(A: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each slice, bit-equal to np.linalg.norm of the slice."""
+    f = A.reshape(len(A), -1)
+    return np.sqrt(np.vecdot(f, f))
+
+
+def _project_feasible(Y: np.ndarray, p: float, m: int, *, sweeps: int, tol: float,
+                      states, mult_tol: float = 1e-12) -> np.ndarray:
     """Dykstra alternation between the diagonal-constrained set and the psd cone.
 
-    The psd projection runs last so returned iterates are always psd.
+    Works on a (k, N, N) stack; each slice stops at its own sweep.  The psd
+    projection runs last so returned iterates are always psd.
     """
-    X = 0.5 * (Y + Y.T)
+    X = 0.5 * (Y + Y.swapaxes(1, 2))
+    out = np.empty_like(X)
     P = np.zeros_like(X)
     Q = np.zeros_like(X)
+    rows = np.arange(len(X))
     for _ in range(sweeps):
         T = X + P
         R = _proj_diag(T, p, m, states, mult_tol)
@@ -248,10 +289,17 @@ def _project_feasible(Y: np.ndarray, p: float, m: int, *, sweeps: int = 40,
         T = R + Q
         Xn = _proj_psd(T)
         Q = T - Xn
-        if np.linalg.norm(Xn - X) <= tol * (1.0 + np.linalg.norm(Xn)):
-            return Xn
+        done = _fro(Xn - X) <= tol * (1.0 + _fro(Xn))
         X = Xn
-    return X
+        if done.any():
+            out[rows[done]] = X[done]
+            keep = ~done
+            X, P, Q, rows = X[keep], P[keep], Q[keep], rows[keep]
+            states = [st for st, kept in zip(states, keep) if kept]
+            if not rows.size:
+                break
+    out[rows] = X
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,116 +307,128 @@ def _project_feasible(Y: np.ndarray, p: float, m: int, *, sweeps: int = 40,
 # ---------------------------------------------------------------------------
 
 def _holder_lengths(w: np.ndarray, p: float) -> np.ndarray:
-    """argmax of l.w over ||l||_p <= 1, l >= 0, for w >= 0."""
+    """Row-wise argmax of l.w over ||l||_p <= 1, l >= 0, for w >= 0."""
     if p == INF:
         return np.ones_like(w)
-    if float(np.max(w, initial=0.0)) <= 0.0:
-        return np.full_like(w, len(w) ** (-1.0 / p))
     q = p / (p - 1.0)
-    nq = float(np.sum(w ** q)) ** (1.0 / q)
-    return (w / nq) ** (q - 1.0)
+    pos = ~(np.max(w, axis=1, initial=0.0) <= 0.0)
+    # the q-norm root stays a scalar pow: numpy's vectorized pow can round
+    # differently, and one row of a stack must equal the solve of that row
+    sums = np.sum(w ** q, axis=1).tolist()
+    nq = np.array([t ** (1.0 / q) if ok else 1.0 for t, ok in zip(sums, pos)])
+    out = (w / nq[:, None]) ** (q - 1.0)
+    out[~pos] = w.shape[1] ** (-1.0 / p)
+    return out
 
 
-def _gram_value(B, Ud, Vd, ul, vl) -> float:
-    M = (Ud * ul[:, None]) @ (Vd * vl[:, None]).T
-    return float(np.sum(B * M))
+def _gram_value(B, Ud, Vd, ul, vl) -> np.ndarray:
+    M = (Ud * ul[:, :, None]) @ (Vd * vl[:, :, None]).swapaxes(1, 2)
+    return np.sum(B * M, axis=(1, 2))
 
 
 def _polish_gram(B, p, Ud, Vd, ul, vl, *, iters: int = 500, rtol: float = 1e-13):
-    """Alternating exact block maximization; monotone, stays feasible."""
+    """Alternating exact block maximization; monotone, stays feasible.
+
+    Works on a stack of problems; each stops at its own plateau.
+    """
     val = _gram_value(B, Ud, Vd, ul, vl)
+    res = [np.empty(a.shape) for a in (Ud, Vd, ul, vl, val)]
+    rows = np.arange(len(B))
     for _ in range(iters):
-        W = (B * vl[None, :]) @ Vd
-        wn = np.linalg.norm(W, axis=1)
-        mask = wn > 0.0
-        Ud = np.where(mask[:, None], W / np.maximum(wn, 1e-300)[:, None], Ud)
+        W = (B * vl[:, None, :]) @ Vd
+        wn = np.linalg.norm(W, axis=2)
+        Ud = np.where((wn > 0.0)[:, :, None], W / np.maximum(wn, 1e-300)[:, :, None], Ud)
         ul = _holder_lengths(wn, p)
-        W = (B.T * ul[None, :]) @ Ud
-        wn = np.linalg.norm(W, axis=1)
-        mask = wn > 0.0
-        Vd = np.where(mask[:, None], W / np.maximum(wn, 1e-300)[:, None], Vd)
+        W = (B.swapaxes(1, 2) * ul[:, None, :]) @ Ud
+        wn = np.linalg.norm(W, axis=2)
+        Vd = np.where((wn > 0.0)[:, :, None], W / np.maximum(wn, 1e-300)[:, :, None], Vd)
         vl = _holder_lengths(wn, p)
         new_val = _gram_value(B, Ud, Vd, ul, vl)
-        if new_val - val <= rtol * (1.0 + abs(new_val)):
-            val = max(val, new_val)
-            break
-        val = new_val
-    return Ud, Vd, ul, vl, val
+        done = new_val - val <= rtol * (1.0 + np.abs(new_val))
+        val = np.where(done & ~(new_val > val), val, new_val)
+        if done.any():
+            for r, a in zip(res, (Ud, Vd, ul, vl, val)):
+                r[rows[done]] = a[done]
+            keep = ~done
+            B, Ud, Vd, ul, vl, val, rows = (a[keep] for a in (B, Ud, Vd, ul, vl, val, rows))
+            if not rows.size:
+                break
+    for r, a in zip(res, (Ud, Vd, ul, vl, val)):
+        r[rows] = a
+    return res
 
 
 def _extract_gram(X: np.ndarray, m: int, p: float):
-    w, V = np.linalg.eigh(0.5 * (X + X.T))
-    F = V * np.sqrt(np.clip(w, 0.0, None))[None, :]
-    lens = np.linalg.norm(F, axis=1)
+    w, V = np.linalg.eigh(0.5 * (X + X.swapaxes(1, 2)))
+    F = V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    lens = np.linalg.norm(F, axis=2)
     dirs = np.zeros_like(F)
     nz = lens > 0.0
-    dirs[nz] = F[nz] / lens[nz, None]
+    dirs[nz] = F[nz] / lens[nz][:, None]
     dirs[~nz, 0] = 1.0
-    ul, vl = lens[:m], lens[m:]
-    for blk in (ul, vl):
-        nrm = lp_norm(blk, p)
-        if nrm > 1.0:
-            blk /= nrm
-    return dirs[:m], dirs[m:], ul, vl
+    for row in lens:
+        for blk in (row[:m], row[m:]):
+            nrm = lp_norm(blk, p)
+            if nrm > 1.0:
+                blk /= nrm
+    return dirs[:, :m], dirs[:, m:], lens[:, :m], lens[:, m:]
 
 
-def solve_vecp(B, p, tol: float = 1e-6, max_iter: int = 5000) -> GramSolution:
-    """Maximize the relaxation by projected gradient ascent plus Gram polish.
+def _solve_chunk(B: np.ndarray, pf: float, tol: float, max_iter: int):
+    """Projected gradient ascent plus Gram polish on a (k, m, n) stack.
 
-    Gradient steps in full matrix space are projected onto the feasible set by
-    Dykstra alternation; the resulting Gram factors are then driven to a
-    stationary point by closed-form alternating ascent (which cannot leave the
-    feasible set, so the value stays a lower estimate of the relaxation
-    optimum).  Deterministic: no RNG enters except two fixed-seed polish
-    restarts.
+    Every matrix keeps its own step size, streak, plateau count and
+    multiplier warm starts, and leaves the active set when its own stopping
+    rule fires, so each row runs exactly the iterations a solve of that
+    matrix alone would.
     """
-    B = as_matrix(B)
-    if not B.any():
-        raise DegenerateInputError("solve_vecp needs a nonzero matrix")
-    pf = check_p(p)
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    m, n = B.shape
+    k, m, n = B.shape
     N = m + n
-    scale = float(np.linalg.norm(B))
-    Bh = B / scale
-    Bt = np.zeros((N, N))
-    Bt[:m, m:] = 0.5 * Bh
-    Bt[m:, :m] = 0.5 * Bh.T
+    scale = np.array([np.linalg.norm(b) for b in B])
+    Bh = B / scale[:, None, None]
+    Bt = np.zeros((k, N, N))
+    Bt[:, :m, m:] = 0.5 * Bh
+    Bt[:, m:, :m] = 0.5 * Bh.swapaxes(1, 2)
     if pf == INF:
-        X = np.eye(N)
+        X0 = np.eye(N)
     else:
-        X = np.diag(np.concatenate([np.full(m, m ** (-2.0 / pf)), np.full(n, n ** (-2.0 / pf))]))
-    eta0 = 1.0 / float(np.linalg.norm(Bt))
-    eta = eta0
-    val = float(np.sum(Bt * X))
-    plateau = streak = 0
-    converged = False
-    states = ({}, {})
+        X0 = np.diag(np.concatenate([np.full(m, m ** (-2.0 / pf)), np.full(n, n ** (-2.0 / pf))]))
+    X = np.repeat(X0[None], k, axis=0)
+    eta0 = np.array([1.0 / float(np.linalg.norm(b)) for b in Bt])
+    eta = eta0.copy()
+    val = np.sum(Bt * X, axis=(1, 2))
+    plateau = np.zeros(k, dtype=int)
+    streak = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    states = [({}, {}) for _ in range(k)]
+    X_end = np.empty_like(X)
+    rows = np.arange(k)
     for _ in range(max_iter):
-        Xn = _project_feasible(X + eta * Bt, pf, m, sweeps=6, tol=1e-10,
-                               states=states, mult_tol=3e-10)
-        vn = float(np.sum(Bt * Xn))
-        if vn >= val - 1e-13 * (1.0 + abs(val)):
-            gain = vn - val
-            X, val = Xn, vn
-            streak += 1
-            if streak >= 3:
-                eta = min(eta * 2.0, 256.0 * eta0)
-                streak = 0
-            plateau = plateau + 1 if gain <= 1e-2 * tol * (1.0 + abs(val)) else 0
-            if plateau >= 6:
-                converged = True
+        Xn = _project_feasible(X + eta[:, None, None] * Bt, pf, m, sweeps=6, tol=1e-10,
+                               states=[states[i] for i in rows], mult_tol=3e-10)
+        vn = np.sum(Bt * Xn, axis=(1, 2))
+        up = vn >= val - 1e-13 * (1.0 + np.abs(val))
+        gain = vn - val
+        X = np.where(up[:, None, None], Xn, X)
+        val = np.where(up, vn, val)
+        streak = np.where(up, streak + 1, 0)
+        grow = streak >= 3
+        eta = np.where(grow, np.minimum(eta * 2.0, 256.0 * eta0), np.where(up, eta, eta * 0.5))
+        streak[grow] = 0
+        flat = gain <= 1e-2 * tol * (1.0 + np.abs(val))
+        plateau = np.where(up, np.where(flat, plateau + 1, 0), plateau)
+        done = np.where(up, plateau >= 6, eta < 1e-7 * eta0)
+        if done.any():
+            X_end[rows[done]] = X[done]
+            converged[rows[done]] = True
+            keep = ~done
+            X, Bt, eta, eta0, val, plateau, streak, rows = (
+                a[keep] for a in (X, Bt, eta, eta0, val, plateau, streak, rows))
+            if not rows.size:
                 break
-        else:
-            eta *= 0.5
-            streak = 0
-            if eta < 1e-7 * eta0:
-                converged = True
-                break
-    X = _project_feasible(X, pf, m, sweeps=80, tol=1e-13, states=states)
-    Ud, Vd, ul, vl = _extract_gram(X, m, pf)
-    starts = [(Ud, Vd, ul, vl)]
+    X_end[rows] = X
+    X = _project_feasible(X_end, pf, m, sweeps=80, tol=1e-13, states=states)
+    starts = [_extract_gram(X, m, pf)]
     rng = derive_rng(0x9E3779B9)  # fixed: restarts are part of the deterministic solve
     for _ in range(2):
         RU = rng.standard_normal((m, N))
@@ -379,14 +439,58 @@ def solve_vecp(B, p, tol: float = 1e-6, max_iter: int = 5000) -> GramSolution:
             l0u, l0v = np.ones(m), np.ones(n)
         else:
             l0u, l0v = np.full(m, m ** (-1.0 / pf)), np.full(n, n ** (-1.0 / pf))
-        starts.append((RU, RV, l0u, l0v))
-    best = None
-    for s in starts:
-        cand = _polish_gram(Bh, pf, *s)
-        if best is None or cand[4] > best[4]:
-            best = cand
-    Ud, Vd, ul, vl, value = best
-    g = GramSolution(u_dirs=Ud, v_dirs=Vd, u_lens=ul, v_lens=vl, value=value * scale)
+        starts.append([np.broadcast_to(a, (k,) + a.shape) for a in (RU, RV, l0u, l0v)])
+    # all three starts of every matrix polish as one stack: start j of row i is row j*k + i
+    Ud, Vd, ul, vl, value = _polish_gram(np.concatenate([Bh] * 3), pf,
+                                         *(np.concatenate(parts) for parts in zip(*starts)))
+    vals = value.reshape(3, k)
+    best = np.zeros(k, dtype=int)
+    for j in (1, 2):  # ties keep the earlier start
+        best = np.where(vals[j] > vals[best, np.arange(k)], j, best)
+    out = []
+    for i, r in enumerate(best * k + np.arange(k)):
+        g = GramSolution(u_dirs=Ud[r].copy(), v_dirs=Vd[r].copy(), u_lens=ul[r].copy(),
+                         v_lens=vl[r].copy(), value=float(value[r]) * float(scale[i]))
+        out.append((g, bool(converged[i])))
+    return out
+
+
+def solve_vecp_stack(Bs, p, tol: float = 1e-6, max_iter: int = 5000) -> list:
+    """solve_vecp on every matrix of a (k, m, n) stack, solved together.
+
+    Returns one (GramSolution, converged) pair per matrix, each bit-equal to
+    what solve_vecp returns for that matrix alone; a matrix that hits
+    max_iter comes back with converged=False instead of raising.  Long stacks
+    are split into chunks of at most _STACK_ELEMS matrix entries.
+    """
+    Bs = as_float_array(Bs, "matrix stack")
+    if Bs.ndim != 3:
+        raise ShapeError(f"matrix stack must be three-dimensional, got shape {Bs.shape}")
+    if not np.any(Bs, axis=(1, 2)).all():
+        raise DegenerateInputError("solve_vecp needs a nonzero matrix")
+    pf = check_p(p)
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
+    k, m, n = Bs.shape
+    step = max(1, _STACK_ELEMS // (m + n) ** 2)
+    out = []
+    for i in range(0, k, step):
+        out += _solve_chunk(Bs[i:i + step], pf, tol, max_iter)
+    return out
+
+
+def solve_vecp(B, p, tol: float = 1e-6, max_iter: int = 5000) -> GramSolution:
+    """Maximize the relaxation by projected gradient ascent plus Gram polish.
+
+    Gradient steps in full matrix space are projected onto the feasible set by
+    Dykstra alternation; the resulting Gram factors are then driven to a
+    stationary point by closed-form alternating ascent (which cannot leave the
+    feasible set, so the value stays a lower estimate of the relaxation
+    optimum).  Deterministic: no RNG enters except two fixed-seed polish
+    restarts.  This is solve_vecp_stack on a stack of one.
+    """
+    B = as_matrix(B)
+    [(g, converged)] = solve_vecp_stack(B[None], p, tol, max_iter)
     if not converged:
         raise ConvergenceError("relaxation solve hit max_iter before its plateau rule", best=g)
     return g

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from lpmax import cli, hpopt
 from lpmax.cli import (
+    EXIT_BOUND,
     EXIT_DEGENERATE,
     EXIT_PARSE,
     EXIT_RESOURCE,
@@ -167,6 +169,30 @@ def test_config_file_and_flag_precedence(runner, files, tmp_path, monkeypatch):
     monkeypatch.setenv("LPMAX_CONFIG", str(cfg))
     over = runner.invoke(main, ["solve-ml", files["cube"], "--seed", "8", "--format", "json"])
     assert json.loads(over.output)["seed"] == 8
+
+
+def test_exit_code_bound_violation(runner, files, monkeypatch):
+    # a recovery below the d!/d^d floor is a failed guarantee, not a crash
+    monkeypatch.setattr(hpopt, "polarize_odd", lambda A, xs, p: (np.zeros(A.dims[0]), -1.0))
+    res = runner.invoke(main, ["solve-hp", files["sym"], "--p", "inf"] + FAST)
+    assert res.exit_code == EXIT_BOUND
+    assert "error: odd-degree recovery bound violated" in res.output
+
+
+@pytest.mark.parametrize("doc", [{"strategy": "bogus"}, {"trials": "abc"},
+                                 {"format": "xml"}, {"max_samples": -3}])
+def test_config_values_are_validated_like_flags(runner, files, tmp_path, monkeypatch, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.setenv("LPMAX_CONFIG", str(cfg))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran on an invalid config")
+
+    monkeypatch.setattr(cli, "solve_ml", no_solve)
+    res = runner.invoke(main, ["solve-ml", files["cube"], "--p", "inf"])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert "error: invalid " + next(iter(doc)) in res.output
 
 
 def test_config_file_missing_is_parse_error(runner, files, monkeypatch):

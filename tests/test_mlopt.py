@@ -8,7 +8,7 @@ from lpmax.config import SolverConfig
 from lpmax.errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from lpmax.hpopt import HpInstance, solve_hp
 from lpmax.mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
-from lpmax.pqnorm import KG_BOUND, pq_norm_lb, solve_vecp
+from lpmax.pqnorm import KG_BOUND, pq_norm_lb, solve_vecp_stack
 from lpmax.sampler import sample_count
 from lpmax.tensor import eval_multilinear
 from lpmax.validation import INF, lp_norm
@@ -124,10 +124,10 @@ def test_distinct_candidates_solved_once(rng, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return solve_vecp(*args, **kwargs)
+        calls.extend(m.shape for m in args[0])
+        return solve_vecp_stack(*args, **kwargs)
 
-    monkeypatch.setattr(mlopt, "solve_vecp", counting)
+    monkeypatch.setattr(mlopt, "solve_vecp_stack", counting)
     A = rng.standard_normal((3, 2, 2))
     cert = solve_ml(MlInstance(A, INF, SolverConfig(seed=3, trials=24)))
     assert cert.trials_used == sample_count(3, INF) == 103
@@ -141,7 +141,11 @@ def test_convergence_error_propagates_and_is_not_kept(rng, monkeypatch):
     def failing(*args, **kwargs):
         raise ConvergenceError("iteration cap hit")
 
+    def unconverged(*args, **kwargs):
+        return [(g, False) for g, _ in solve_vecp_stack(*args, **kwargs)]
+
     monkeypatch.setattr(mlopt, "solve_vecp", failing)
+    monkeypatch.setattr(mlopt, "solve_vecp_stack", unconverged)
     with pytest.raises(ConvergenceError):
         solve_ml(inst)
     monkeypatch.undo()

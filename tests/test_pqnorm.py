@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lpmax.errors import DegenerateInputError, DomainError
+from lpmax import pqnorm
+from lpmax.errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from lpmax.pqnorm import (
     KG_BOUND,
     KRIVINE_C,
@@ -12,6 +13,7 @@ from lpmax.pqnorm import (
     project_lp_ball,
     round_gram,
     solve_vecp,
+    solve_vecp_stack,
 )
 from lpmax.sampler import derive_rng
 from lpmax.validation import INF, conjugate_exponent, lp_norm
@@ -164,6 +166,44 @@ def test_solve_vecp_rejects_bad_input():
         solve_vecp(np.eye(2), 2.0)
     with pytest.raises(DomainError):
         solve_vecp(np.eye(2), INF, tol=0.0)
+    with pytest.raises(DegenerateInputError):
+        solve_vecp_stack(np.stack([np.eye(2), np.zeros((2, 2))]), INF)
+    with pytest.raises(ShapeError):
+        solve_vecp_stack(np.eye(2), INF)
+
+
+@pytest.mark.parametrize("p", [INF, 4.0, 3.0, "7/2"])
+def test_solve_vecp_stack_rows_equal_solo_solves(rng, p, monkeypatch):
+    # each row of a stacked solve runs exactly the arithmetic of its solo
+    # solve, so every array and value must match bit for bit; max_iter = 8
+    # leaves rows unconverged, and there a tiny element budget forces chunks.
+    # Full solves run only where the multiplier search is vectorized: at
+    # other p its row-by-row Newton loop makes them slow, and the stacking
+    # logic they would exercise is the same.
+    unconverged = 0
+    for m, n in ((2, 2), (3, 4), (6, 5)):
+        Bs = rng.standard_normal((2, m, n))
+        for max_iter in ((5000, 8) if p in (INF, 4.0) else (8,)):
+            solos = []
+            for B in Bs:
+                try:
+                    solos.append((solve_vecp(B, p, max_iter=max_iter), True))
+                except ConvergenceError as exc:
+                    solos.append((exc.best, False))
+            budgets = [None] if max_iter > 8 else [None, 2 * (m + n) ** 2]
+            for budget in budgets:
+                if budget is not None:
+                    monkeypatch.setattr(pqnorm, "_STACK_ELEMS", budget)
+                rows = solve_vecp_stack(Bs, p, max_iter=max_iter)
+                monkeypatch.undo()
+                assert len(rows) == len(Bs)
+                for (g, converged), (solo, solo_converged) in zip(rows, solos):
+                    assert converged == solo_converged
+                    unconverged += not converged
+                    for f in ("u_dirs", "v_dirs", "u_lens", "v_lens"):
+                        assert np.array_equal(getattr(g, f), getattr(solo, f)), f
+                    assert g.value == solo.value
+    assert unconverged > 0
 
 
 def test_solve_vecp_upper_bounds_true_norm(rng):

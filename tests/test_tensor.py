@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from lpmax.tensor import (
     tensor_to_doc,
 )
 
-from conftest import random_supersym
+from conftest import perm_avg, random_supersym
 
 
 def test_tensor_basics(rng):
@@ -101,6 +102,50 @@ def test_is_supersymmetric(rng):
     assert not is_supersymmetric(rng.standard_normal((3, 3)))
     assert not is_supersymmetric(np.zeros((2, 3)))  # not cubical
     assert is_supersymmetric(np.arange(3.0))  # order 1 is trivially symmetric
+
+
+def _symmetric_under_all_perms(arr, tol):
+    # the definition: every one of the d! permutations, held to the full bound
+    bound = tol * (1.0 + float(np.max(np.abs(arr))))
+    return len(set(arr.shape)) == 1 and all(
+        np.max(np.abs(arr - np.transpose(arr, perm))) <= bound
+        for perm in itertools.permutations(range(arr.ndim)))
+
+
+def _average_over(arr, perms):
+    perms = list(perms)
+    return sum(np.transpose(arr, q) for q in perms) / len(perms)
+
+
+def test_is_supersymmetric_matches_full_enumeration():
+    # symmetric tensors, tensors invariant only under a subgroup (the
+    # permutations fixing the last index, the cyclic shifts, one swap), and
+    # perturbations far below or far above the tolerance
+    rng = np.random.default_rng(31)
+    for d in range(2, 6):
+        for n in (2, 3):
+            A = rng.standard_normal((n,) * d)
+            fix_last = [q + (d - 1,) for q in itertools.permutations(range(d - 1))]
+            cyclic = [tuple((i + s) % d for i in range(d)) for s in range(d)]
+            swap = [tuple(range(d)), (1, 0) + tuple(range(2, d))]
+            S = perm_avg(A)
+            bump = np.zeros_like(A)
+            bump.flat[1] = 1.0
+            corpus = [S, A, _average_over(A, fix_last), _average_over(A, cyclic),
+                      _average_over(A, swap), S + 1e-15 * bump, S + 1e-6 * bump]
+            for T in corpus:
+                assert is_supersymmetric(T) == _symmetric_under_all_perms(T, 1e-12)
+
+
+def test_is_supersymmetric_degree_nine():
+    # entries that depend only on how many indices are 1 are symmetric; making
+    # them depend on the last index too leaves only the first eight symmetric
+    idx = np.indices((2,) * 9)
+    S = np.cos(idx.sum(axis=0).astype(float))
+    assert is_supersymmetric(S)
+    T = np.cos(idx[:8].sum(axis=0) + 0.5 * idx[8])
+    assert not is_supersymmetric(T)
+    assert np.array_equal(np.swapaxes(T, 0, 7), T)
 
 
 def test_doc_roundtrip(rng):

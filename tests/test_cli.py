@@ -190,9 +190,49 @@ def test_config_values_are_validated_like_flags(runner, files, tmp_path, monkeyp
         raise AssertionError("solver ran on an invalid config")
 
     monkeypatch.setattr(cli, "solve_ml", no_solve)
-    res = runner.invoke(main, ["solve-ml", files["cube"], "--p", "inf"])
-    assert res.exit_code == EXIT_PARSE, res.output
-    assert "error: invalid " + next(iter(doc)) in res.output
+    monkeypatch.setattr(cli, "load_tensor", no_solve)
+    for command in ("solve-ml", "solve-hp", "pqnorm", "oracle"):
+        res = runner.invoke(main, [command, files["cube"], "--p", "inf"])
+        assert res.exit_code == EXIT_PARSE, (command, res.output)
+        assert "error: invalid " + next(iter(doc)) in res.output
+
+
+def test_oracles_are_looked_up_on_the_cli_module(runner, files, monkeypatch):
+    # the bench tracer rebinds module attributes; the CLI must call through them
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "oracle_ml", spy("oracle_ml"))
+    monkeypatch.setattr(cli, "grid_hp", spy("grid_hp"))
+    runs = [(["oracle", files["cube"], "--mode", "ml"], "oracle_ml"),
+            (["oracle", files["sym"], "--mode", "hp"], "grid_hp"),
+            (["oracle", files["mat"], "--mode", "pqnorm"], "oracle_ml"),
+            (["solve-ml", files["cube"], "--oracle"] + FAST, "oracle_ml"),
+            (["solve-hp", files["sym"], "--oracle"] + FAST, "grid_hp"),
+            (["pqnorm", files["mat"], "--oracle", "--trials", "16"], "oracle_ml")]
+    for argv, name in runs:
+        calls.clear()
+        res = runner.invoke(main, argv + ["--p", "inf", "--steps", "9"])
+        assert res.exit_code == 0, res.output
+        assert calls == [name], argv
+
+
+def test_direct_calls_ignore_config_file(files, tmp_path, monkeypatch):
+    plain = cmd_solve_ml(files["cube"], "inf", trials=16, max_samples=4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "trials": 8, "strategy": "bogus", "oracle": True}))
+    monkeypatch.setenv("LPMAX_CONFIG", str(cfg))
+    again = cmd_solve_ml(files["cube"], "inf", trials=16, max_samples=4)
+    plain.timing = again.timing = {}
+    assert again == plain
+    assert again.seed == 0 and again.oracle is None
 
 
 def test_config_file_missing_is_parse_error(runner, files, monkeypatch):

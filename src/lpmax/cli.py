@@ -1,13 +1,13 @@
 """Command-line front end: parse tensor files, run solvers/oracles, report.
 
-Reports are deterministic for identical (file, flags, seed) up to the timing
-section, which carries wall-clock time and is meant to be stripped before
-byte comparisons.  Every flag has a config-file equivalent; the JSON file
-named by the LPMAX_CONFIG environment variable supplies defaults with
-precedence flag > config file > built-in default.
-
-Flag values and config-file values pass the same click type checks, so a
-bad value from either source exits 2 before any solve.
+The report commands (solve-ml, solve-hp, pqnorm, oracle) are rows of one
+table, COMMANDS; ``run`` builds every RunReport and is also the Python entry
+point.  Reports are deterministic for identical (file, flags, seed) up to the
+timing section, which carries wall-clock time and is meant to be stripped
+before byte comparisons.  Every flag has a config-file equivalent; the JSON
+file named by the LPMAX_CONFIG environment variable supplies defaults with
+precedence flag > config file > built-in default, and a bad value from either
+source exits 2 before any solve.
 
 Exit codes: 0 success, 2 parse/usage error, 3 degenerate or infeasible
 instance, 4 resource gate, 5 non-convergence, 6 violated recovery bound.
@@ -18,20 +18,23 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
 
 from .config import SolverConfig
-from .errors import (BoundViolationError, ConvergenceError, DegenerateInputError,
-                     DomainError, LpmaxError, ResourceLimitError, ShapeError)
+from .errors import (BoundViolationError, ConvergenceError, DomainError, LpmaxError,
+                     ResourceLimitError, ShapeError)
 from .hpopt import HpInstance, solve_hp
 from .mlopt import MlInstance, solve_ml
 from .oracle import grid_hp, oracle_ml
-from .pqnorm import round_gram, solve_vecp
-from .sampler import STREAM_TRIALS, derive_rng, sample_count
+from .pqnorm import pq_norm_lb, solve_vecp  # noqa: F401  (bench/tests reads cli.solve_vecp)
+from .sampler import sample_count
 from .symmetry import symmetrize
 from .tensor import load_tensor, save_tensor
 from .validation import INF, check_p, parse_exponent
@@ -42,30 +45,19 @@ EXIT_RESOURCE = 4
 EXIT_NOCONV = 5
 EXIT_BOUND = 6
 
-_DEFAULTS = {
-    "p": "inf",
-    "seed": 0,
-    "trials": 100,
-    "tol": 1e-6,
-    "steps": 33,
-    "strategy": "krivine",
-    "max_samples": 256,
-    "format": "text",
-    "oracle": False,
-    "mode": "ml",
-}
-
-# one click type per setting ("p" is parsed by _parse_p)
-_TYPES = {
-    "seed": click.INT,
-    "trials": click.IntRange(min=1),
-    "tol": click.FLOAT,
-    "steps": click.INT,
-    "strategy": click.Choice(["hyperplane", "krivine"]),
-    "max_samples": click.IntRange(min=1),
-    "format": click.Choice(["text", "json"]),
-    "oracle": click.BOOL,
-    "mode": click.Choice(["ml", "hp", "pqnorm"]),
+# every setting: built-in default, click type ("p" is parsed by _parse_p) and
+# flag help; flag values and config-file values pass the same type check
+_SETTINGS = {
+    "p": ("inf", None, "exponent in (2, inf]: rational like 5/2, decimal, or inf"),
+    "seed": (0, click.INT, None),
+    "trials": (100, click.IntRange(min=1), "rounding trials per matrix subproblem"),
+    "tol": (1e-6, click.FLOAT, None),
+    "steps": (33, click.INT, "oracle grid points per axis"),
+    "strategy": ("krivine", click.Choice(["hyperplane", "krivine"]), None),
+    "max_samples": (256, click.IntRange(min=1), "cap on direction samples per recursion level"),
+    "format": ("text", click.Choice(["text", "json"]), None),
+    "oracle": (False, click.BOOL, "also run the independent oracle and report the ratio"),
+    "mode": ("ml", click.Choice(["ml", "hp", "pqnorm"]), None),
 }
 
 
@@ -80,16 +72,7 @@ class RunReport:
     timing: dict
 
     def to_json(self) -> str:
-        body = {
-            "command": self.command,
-            "instance": self.instance,
-            "seed": self.seed,
-            "config": self.config,
-            "certificate": self.certificate,
-            "oracle": self.oracle,
-            "timing": self.timing,
-        }
-        return json.dumps(body, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -154,347 +137,184 @@ def _config_defaults():
     return doc
 
 
-def _resolve(flags: dict) -> dict:
+def _resolve(flags: dict, config: dict) -> dict:
     """Apply precedence flag > config file > default for every known key, and
     check each value against its click type; ValueError on a bad value."""
-    config = _config_defaults()
     out = {}
-    for key, default in _DEFAULTS.items():
+    for key, (default, kind, _) in _SETTINGS.items():
         v = flags.get(key)
         if v is None or (key == "oracle" and v is False):
             v = config.get(key, default)
-        if key in _TYPES:
+        if kind is not None:
             try:
-                v = _TYPES[key].convert(v, None, None)
+                v = kind.convert(v, None, None)
             except click.BadParameter as exc:
                 raise ValueError(f"invalid {key}: {exc.message}") from exc
         out[key] = v
     return out
 
 
-def _die(code: int, exc) -> "NoReturn":
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
+# exit code of each error a phase may raise: reading the settings and the
+# file, then solving; anything else is a bug and ends in a traceback
+_PARSE_EXITS = dict.fromkeys((OSError, ValueError, KeyError, TypeError, LpmaxError), EXIT_PARSE)
+_SOLVE_EXITS = {ConvergenceError: EXIT_NOCONV, BoundViolationError: EXIT_BOUND,
+                ResourceLimitError: EXIT_RESOURCE, DomainError: EXIT_DEGENERATE,
+                ShapeError: EXIT_DEGENERATE}
 
 
-def _load_file(path):
+@contextmanager
+def _exit_on(exits: dict):
     try:
-        return load_tensor(path)
-    except (OSError, ValueError, KeyError, TypeError, LpmaxError) as exc:
-        _die(EXIT_PARSE, exc)
-
-
-def _guard_solve(fn):
-    try:
-        return fn()
-    except ConvergenceError as exc:
-        _die(EXIT_NOCONV, exc)
-    except BoundViolationError as exc:
-        _die(EXIT_BOUND, exc)
-    except ResourceLimitError as exc:
-        _die(EXIT_RESOURCE, exc)
-    except (DegenerateInputError, DomainError, ShapeError) as exc:
-        _die(EXIT_DEGENERATE, exc)
-
-
-def _instance_summary(path, A, p) -> dict:
-    return {"file": str(path), "dims": list(A.dims), "order": A.order, "p": _p_str(p)}
-
-
-def _oracle_block(res, value) -> dict:
-    ratio = None
-    if res.value != 0.0:
-        ratio = float(value / res.value)
-    return {
-        "value": res.value,
-        "method": res.method.value,
-        "resolution": res.resolution,
-        "ratio": ratio,
-    }
+        yield
+    except tuple(exits) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(next(code for kind, code in exits.items() if isinstance(exc, kind)))
 
 
 def _solver_config(vals) -> SolverConfig:
-    return SolverConfig(
-        tol=float(vals["tol"]),
-        trials=int(vals["trials"]),
-        strategy=str(vals["strategy"]),
-        max_samples=int(vals["max_samples"]),
-        seed=int(vals["seed"]),
-    )
-
-
-def _config_echo(vals, keys) -> dict:
-    echo = {}
-    for k in keys:
-        v = vals[k]
-        if k == "tol":
-            v = float(v)
-        elif k in ("seed", "trials", "steps", "max_samples"):
-            v = int(v)
-        echo[k] = v
-    return echo
+    return SolverConfig(**{k: vals[k] for k in SolverConfig.__dataclass_fields__ if k in vals})
 
 
 # ---------------------------------------------------------------------------
-# plain command bodies (return RunReport; raise package errors)
+# the command table: each solve step maps (tensor, p, settings) to the value
+# the oracle ratio compares and the certificate block of the report
 # ---------------------------------------------------------------------------
 
-def cmd_solve_ml(file, p, seed=0, trials=100, tol=1e-6, format="text", *,
-                 max_samples=256, strategy="krivine",
-                 oracle=False, steps=33) -> RunReport:
-    vals = {"p": p, "seed": seed, "trials": trials, "tol": tol, "steps": steps,
-            "strategy": strategy, "max_samples": max_samples, "format": format,
-            "oracle": oracle, "mode": "ml"}
-    A = _load_file(file)
-    pex = _parse_p(vals["p"])
-    t0 = time.perf_counter()
+def _solve_ml(A, p, vals):
     cfg = _solver_config(vals)
-
-    def body():
-        inst = MlInstance(A, pex, cfg)
-        cert = solve_ml(inst)
-        uncapped = sample_count(A.dims[0], pex, amplified=True, max_samples=None) \
-            if A.order >= 3 else cfg.trials
-        return cert, uncapped
-
-    cert, uncapped = _guard_solve(body)
-    certificate = {
+    cert = solve_ml(MlInstance(A, p, cfg))
+    uncapped = sample_count(A.dims[0], p, amplified=True, max_samples=None) \
+        if A.order >= 3 else cfg.trials
+    return cert.value, {
         "value": cert.value,
         "relax_value": cert.relax_value,
         "trials_used": cert.trials_used,
         "samples_capped": bool(uncapped > cert.trials_used),
         "xs": [_listify(x) for x in cert.xs],
     }
+
+
+def _solve_hp(A, p, vals):
+    cert = solve_hp(HpInstance(A, p, _solver_config(vals)))
+    return cert.value, {"value": cert.value, "ml_value": cert.ml_value,
+                        "parity": cert.parity, "x_hat": _listify(cert.x_hat)}
+
+
+def _pqnorm(A, p, vals):
+    if A.order != 2:
+        raise ShapeError(f"pqnorm needs an order-2 tensor, got order {A.order}")
+    g, pair = pq_norm_lb(A.data, p, _solver_config(vals))
+    return pair.value, {"value": pair.value, "relax_value": g.value,
+                        "y": _listify(pair.y), "z": _listify(pair.z)}
+
+
+# the independent oracle of each mode.  Solvers and oracles are looked up in
+# this module's globals at call time, so rebinding one (as tracers do) is seen
+_ORACLES = {
+    "ml": lambda A, p, steps: oracle_ml(A, p, steps, refine=6),
+    "hp": lambda A, p, steps: grid_hp(A, p, steps, refine=8),
+    "pqnorm": lambda A, p, steps: oracle_ml(A, p, steps, refine=6),
+}
+
+
+def _oracle(A, p, vals):
+    if vals["mode"] == "pqnorm" and A.order != 2:
+        raise ShapeError("pqnorm oracle needs an order-2 tensor")
+    res = _ORACLES[vals["mode"]](A, p, vals["steps"])
+    return res.value, {"value": res.value, "method": res.method.value,
+                       "resolution": res.resolution,
+                       "argmax": [_listify(x) for x in res.argmax]}
+
+
+class Command(NamedTuple):
+    solve: Callable      # (tensor, p, settings) -> (value, certificate dict)
+    echo: tuple          # settings echoed in the report's config block
+    oracle: str | None   # the _ORACLES mode that --oracle attaches
+    options: tuple       # the command's flags; without --seed it reports seed 0
+    doc: str
+
+
+_SOLVE_OPTIONS = tuple(key for key in _SETTINGS if key != "mode")
+_ECHO = ("trials", "tol", "max_samples", "strategy", "steps")
+
+COMMANDS = {
+    "solve-ml": Command(_solve_ml, _ECHO, "ml", _SOLVE_OPTIONS,
+                        "Maximize the multilinear form of FILE over independent L_p balls."),
+    "solve-hp": Command(_solve_hp, _ECHO, "hp", _SOLVE_OPTIONS,
+                        "Maximize the homogeneous polynomial of a super-symmetric FILE."),
+    "pqnorm": Command(_pqnorm, ("trials", "tol", "strategy", "steps"), "pqnorm", _SOLVE_OPTIONS,
+                      "Relax and round the bilinear problem for an order-2 FILE."),
+    "oracle": Command(_oracle, ("mode", "steps"), None, ("p", "mode", "steps", "format"),
+                      "Independent brute-force value for FILE (never reads solver state)."),
+}
+
+
+def run(command, file, p, **values) -> RunReport:
+    """Run one table command on FILE and return its report.
+
+    ``values`` are the settings of ``_SETTINGS``; the ones left out take their
+    built-in default (``LPMAX_CONFIG`` is read only by the click commands).
+    Errors print ``error: ...`` to stderr and exit with the command's exit code.
+    """
+    cmd = COMMANDS[command]
+    with _exit_on(_PARSE_EXITS):
+        vals = _resolve({**values, "p": p}, {})
+        pex = _parse_p(vals["p"])
+        A = load_tensor(file)
+    t0 = time.perf_counter()
     oracle_block = None
-    if vals["oracle"]:
-        res = _guard_solve(lambda: oracle_ml(A, pex, int(vals["steps"]), refine=6))
-        oracle_block = _oracle_block(res, cert.value)
+    with _exit_on(_SOLVE_EXITS):
+        value, certificate = cmd.solve(A, pex, vals)
+        if cmd.oracle and vals["oracle"]:
+            res = _ORACLES[cmd.oracle](A, pex, vals["steps"])
+            ratio = float(value / res.value) if res.value != 0.0 else None
+            oracle_block = {"value": res.value, "method": res.method.value,
+                            "resolution": res.resolution, "ratio": ratio}
     wall = time.perf_counter() - t0
     return RunReport(
-        command="solve-ml",
-        instance=_instance_summary(file, A, pex),
-        seed=int(vals["seed"]),
-        config=_config_echo(vals, ("trials", "tol", "max_samples", "strategy", "steps")),
+        command=command,
+        instance={"file": str(file), "dims": list(A.dims), "order": A.order,
+                  "p": _p_str(pex)},
+        seed=vals["seed"] if "seed" in cmd.options else 0,
+        config={k: vals[k] for k in cmd.echo},
         certificate=certificate,
         oracle=oracle_block,
         timing={"wall_time_s": round(wall, 6)},
     )
 
 
-def cmd_solve_hp(file, p, seed=0, trials=100, tol=1e-6, format="text", *,
-                 max_samples=256, strategy="krivine",
-                 oracle=False, steps=33) -> RunReport:
-    vals = {"p": p, "seed": seed, "trials": trials, "tol": tol, "steps": steps,
-            "strategy": strategy, "max_samples": max_samples, "format": format,
-            "oracle": oracle, "mode": "hp"}
-    A = _load_file(file)
-    pex = _parse_p(vals["p"])
-    t0 = time.perf_counter()
-    cfg = _solver_config(vals)
-
-    def body():
-        inst = HpInstance(A, pex, cfg)
-        return solve_hp(inst)
-
-    cert = _guard_solve(body)
-    certificate = {
-        "value": cert.value,
-        "ml_value": cert.ml_value,
-        "parity": cert.parity,
-        "x_hat": _listify(cert.x_hat),
-    }
-    oracle_block = None
-    if vals["oracle"]:
-        res = _guard_solve(lambda: grid_hp(A, pex, int(vals["steps"]), refine=8))
-        oracle_block = _oracle_block(res, cert.value)
-    wall = time.perf_counter() - t0
-    return RunReport(
-        command="solve-hp",
-        instance=_instance_summary(file, A, pex),
-        seed=int(vals["seed"]),
-        config=_config_echo(vals, ("trials", "tol", "max_samples", "strategy", "steps")),
-        certificate=certificate,
-        oracle=oracle_block,
-        timing={"wall_time_s": round(wall, 6)},
-    )
-
-
-def cmd_pqnorm(file, p, strategy="krivine", trials=100, seed=0, format="text", *,
-               tol=1e-6, oracle=False, steps=33) -> RunReport:
-    vals = {"p": p, "seed": seed, "trials": trials, "tol": tol, "steps": steps,
-            "strategy": strategy, "max_samples": 256,
-            "format": format, "oracle": oracle, "mode": "pqnorm"}
-    A = _load_file(file)
-    pex = _parse_p(vals["p"])
-    t0 = time.perf_counter()
-
-    def body():
-        if A.order != 2:
-            raise ShapeError(f"pqnorm needs an order-2 tensor, got order {A.order}")
-        g = solve_vecp(A.data, pex, tol=float(vals["tol"]))
-        rng = derive_rng(int(vals["seed"]), STREAM_TRIALS)
-        pair = round_gram(A.data, g, pex, strategy=str(vals["strategy"]),
-                          trials=int(vals["trials"]), rng=rng)
-        return g, pair
-
-    g, pair = _guard_solve(body)
-    certificate = {
-        "value": pair.value,
-        "relax_value": g.value,
-        "y": _listify(pair.y),
-        "z": _listify(pair.z),
-    }
-    oracle_block = None
-    if vals["oracle"]:
-        res = _guard_solve(lambda: oracle_ml(A, pex, int(vals["steps"]), refine=6))
-        oracle_block = _oracle_block(res, pair.value)
-    wall = time.perf_counter() - t0
-    return RunReport(
-        command="pqnorm",
-        instance=_instance_summary(file, A, pex),
-        seed=int(vals["seed"]),
-        config=_config_echo(vals, ("trials", "tol", "strategy", "steps")),
-        certificate=certificate,
-        oracle=oracle_block,
-        timing={"wall_time_s": round(wall, 6)},
-    )
-
-
-def cmd_symmetrize(file, out) -> None:
-    A = _load_file(file)
-    S = _guard_solve(lambda: symmetrize(A))
-    try:
-        save_tensor(S, out)
-    except OSError as exc:
-        _die(EXIT_PARSE, exc)
-    click.echo(f"wrote sym tensor dims={'x'.join(str(n) for n in S.dims)} to {out}")
-
-
-def cmd_oracle(file, p, mode="ml", steps=33, format="text") -> RunReport:
-    vals = dict(_DEFAULTS)
-    vals.update({"p": p, "steps": steps, "format": format, "mode": mode})
-    A = _load_file(file)
-    pex = _parse_p(vals["p"])
-    t0 = time.perf_counter()
-
-    def body():
-        m = str(vals["mode"])
-        s = int(vals["steps"])
-        if m == "ml":
-            return oracle_ml(A, pex, s, refine=6)
-        if m == "hp":
-            return grid_hp(A, pex, s, refine=8)
-        if m == "pqnorm":
-            if A.order != 2:
-                raise ShapeError("pqnorm oracle needs an order-2 tensor")
-            return oracle_ml(A, pex, s, refine=6)
-        raise DomainError(f"unknown oracle mode {m!r}")
-
-    res = _guard_solve(body)
-    certificate = {
-        "value": res.value,
-        "method": res.method.value,
-        "resolution": res.resolution,
-        "argmax": [_listify(x) for x in res.argmax],
-    }
-    wall = time.perf_counter() - t0
-    return RunReport(
-        command="oracle",
-        instance=_instance_summary(file, A, pex),
-        seed=0,
-        config={"mode": str(vals["mode"]), "steps": int(vals["steps"])},
-        certificate=certificate,
-        oracle=None,
-        timing={"wall_time_s": round(wall, 6)},
-    )
+cmd_solve_ml = partial(run, "solve-ml")
+cmd_solve_hp = partial(run, "solve-hp")
+cmd_pqnorm = partial(run, "pqnorm")
+cmd_oracle = partial(run, "oracle")
 
 
 # ---------------------------------------------------------------------------
 # click wiring
 # ---------------------------------------------------------------------------
 
-def _common_options(fn):
-    opts = [
-        click.option("--p", "p", default=None, help="exponent in (2, inf]: rational like 5/2, decimal, or inf"),
-        click.option("--seed", type=_TYPES["seed"], default=None),
-        click.option("--trials", type=_TYPES["trials"], default=None,
-                     help="rounding trials per matrix subproblem"),
-        click.option("--tol", type=_TYPES["tol"], default=None),
-        click.option("--steps", type=_TYPES["steps"], default=None, help="oracle grid points per axis"),
-        click.option("--strategy", type=_TYPES["strategy"], default=None),
-        click.option("--max-samples", "max_samples", type=_TYPES["max_samples"], default=None,
-                     help="cap on direction samples per recursion level"),
-        click.option("--format", "fmt", type=_TYPES["format"], default=None),
-        click.option("--oracle", is_flag=True, default=False,
-                     help="also run the independent oracle and report the ratio"),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
-
-
 @click.group()
 def main():
     """Randomized maximization of polynomials and multilinear forms on L_p balls."""
 
 
-@main.command("solve-ml")
-@click.argument("file", type=click.Path())
-@_common_options
-def _cli_solve_ml(file, p, seed, trials, tol, steps, strategy, max_samples, fmt, oracle):
-    """Maximize the multilinear form of FILE over independent L_p balls."""
-    try:
-        vals = _resolve({"p": p, "seed": seed, "trials": trials, "tol": tol,
-                         "steps": steps, "strategy": strategy,
-                         "max_samples": max_samples, "format": fmt, "oracle": oracle})
-        _parse_p(vals["p"])
-    except (OSError, ValueError, DomainError) as exc:
-        _die(EXIT_PARSE, exc)
-    report = cmd_solve_ml(file, vals["p"], seed=int(vals["seed"]),
-                          trials=int(vals["trials"]), tol=float(vals["tol"]),
-                          format=vals["format"], max_samples=int(vals["max_samples"]),
-                          strategy=vals["strategy"], oracle=bool(vals["oracle"]),
-                          steps=int(vals["steps"]))
-    click.echo(report.render(vals["format"]), nl=False)
+def _cli_command(name):
+    def callback(file, **flags):
+        with _exit_on(_PARSE_EXITS):
+            vals = _resolve(flags, _config_defaults())
+        report = run(name, file, **vals)
+        click.echo(report.render(vals["format"]), nl=False)
+
+    for key in reversed(COMMANDS[name].options):
+        _, kind, text = _SETTINGS[key]
+        flag = {"is_flag": True, "default": False} if key == "oracle" else {"type": kind}
+        callback = click.option("--" + key.replace("_", "-"), help=text, **flag)(callback)
+    callback = click.argument("file", type=click.Path())(callback)
+    main.command(name, help=COMMANDS[name].doc)(callback)
 
 
-@main.command("solve-hp")
-@click.argument("file", type=click.Path())
-@_common_options
-def _cli_solve_hp(file, p, seed, trials, tol, steps, strategy, max_samples, fmt, oracle):
-    """Maximize the homogeneous polynomial of a super-symmetric FILE."""
-    try:
-        vals = _resolve({"p": p, "seed": seed, "trials": trials, "tol": tol,
-                         "steps": steps, "strategy": strategy,
-                         "max_samples": max_samples, "format": fmt, "oracle": oracle})
-        _parse_p(vals["p"])
-    except (OSError, ValueError, DomainError) as exc:
-        _die(EXIT_PARSE, exc)
-    report = cmd_solve_hp(file, vals["p"], seed=int(vals["seed"]),
-                          trials=int(vals["trials"]), tol=float(vals["tol"]),
-                          format=vals["format"], max_samples=int(vals["max_samples"]),
-                          strategy=vals["strategy"], oracle=bool(vals["oracle"]),
-                          steps=int(vals["steps"]))
-    click.echo(report.render(vals["format"]), nl=False)
-
-
-@main.command("pqnorm")
-@click.argument("file", type=click.Path())
-@_common_options
-def _cli_pqnorm(file, p, seed, trials, tol, steps, strategy, max_samples, fmt, oracle):
-    """Relax and round the bilinear problem for an order-2 FILE."""
-    try:
-        vals = _resolve({"p": p, "seed": seed, "trials": trials, "tol": tol,
-                         "steps": steps, "strategy": strategy,
-                         "max_samples": max_samples, "format": fmt, "oracle": oracle})
-        _parse_p(vals["p"])
-    except (OSError, ValueError, DomainError) as exc:
-        _die(EXIT_PARSE, exc)
-    report = cmd_pqnorm(file, vals["p"], strategy=vals["strategy"],
-                        trials=int(vals["trials"]), seed=int(vals["seed"]),
-                        format=vals["format"], tol=float(vals["tol"]),
-                        oracle=bool(vals["oracle"]), steps=int(vals["steps"]))
-    click.echo(report.render(vals["format"]), nl=False)
+for _name in COMMANDS:
+    _cli_command(_name)
 
 
 @main.command("symmetrize")
@@ -502,25 +322,13 @@ def _cli_pqnorm(file, p, seed, trials, tol, steps, strategy, max_samples, fmt, o
 @click.option("--out", required=True, type=click.Path())
 def _cli_symmetrize(file, out):
     """Write the symmetrized block embedding of FILE to --out."""
-    cmd_symmetrize(file, out)
-
-
-@main.command("oracle")
-@click.argument("file", type=click.Path())
-@click.option("--p", "p", default=None)
-@click.option("--mode", type=_TYPES["mode"], default=None)
-@click.option("--steps", type=_TYPES["steps"], default=None)
-@click.option("--format", "fmt", type=_TYPES["format"], default=None)
-def _cli_oracle(file, p, mode, steps, fmt):
-    """Independent brute-force value for FILE (never reads solver state)."""
-    try:
-        vals = _resolve({"p": p, "steps": steps, "format": fmt, "mode": mode})
-        _parse_p(vals["p"])
-    except (OSError, ValueError, DomainError) as exc:
-        _die(EXIT_PARSE, exc)
-    report = cmd_oracle(file, vals["p"], mode=vals["mode"],
-                        steps=int(vals["steps"]), format=vals["format"])
-    click.echo(report.render(vals["format"]), nl=False)
+    with _exit_on(_PARSE_EXITS):
+        A = load_tensor(file)
+    with _exit_on(_SOLVE_EXITS):
+        S = symmetrize(A)
+    with _exit_on({OSError: EXIT_PARSE}):
+        save_tensor(S, out)
+    click.echo(f"wrote sym tensor dims={'x'.join(str(n) for n in S.dims)} to {out}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-DENSE_CAP = 10_000_000
+DENSE_CAP = 10_000_000  # default dense_cap of Tensor, tensor_from_doc and symmetrize
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,6 @@ class SolverConfig:
     strategy: str = "krivine"
     max_samples: int = 256
     seed: int = 0
-    dense_cap: int = DENSE_CAP
 
     def updated(self, **kw) -> "SolverConfig":
         return replace(self, **kw)

@@ -13,10 +13,8 @@ import inspect
 from .config import SolverConfig
 from .mlopt import MlInstance, solve_ml
 from .hpopt import HpInstance, solve_hp
-from .pqnorm import round_gram, solve_vecp
-from .sampler import STREAM_TRIALS, derive_rng
+from .pqnorm import pq_norm_lb
 from .tensor import as_tensor
-from .validation import as_matrix
 
 
 class ParamEstimator:
@@ -58,12 +56,8 @@ def _config_from(est, **overrides) -> SolverConfig:
     return base.updated(**kw)
 
 
-class MultilinearFormMaximizer(ParamEstimator):
-    """Randomized lower-bound maximizer for multilinear forms over L_p balls.
-
-    fit(A) runs the recursive sampling pipeline and exposes xs_, value_,
-    relax_value_ and the full certificate_.
-    """
+class _TensorMaximizer(ParamEstimator):
+    """Shared parameters and score of the tensor maximizers."""
 
     def __init__(self, p=2.5, seed=0, trials=100, tol=1e-6, max_samples=256,
                  strategy="krivine"):
@@ -73,6 +67,18 @@ class MultilinearFormMaximizer(ParamEstimator):
         self.tol = tol
         self.max_samples = max_samples
         self.strategy = strategy
+
+    def score(self, A=None, y=None):
+        self._check_fitted()
+        return self.value_
+
+
+class MultilinearFormMaximizer(_TensorMaximizer):
+    """Randomized lower-bound maximizer for multilinear forms over L_p balls.
+
+    fit(A) runs the recursive sampling pipeline and exposes xs_, value_,
+    relax_value_ and the full certificate_.
+    """
 
     def fit(self, A, y=None):
         inst = MlInstance(as_tensor(A), self.p, _config_from(self))
@@ -84,26 +90,13 @@ class MultilinearFormMaximizer(ParamEstimator):
         self.n_trials_used_ = cert.trials_used
         return self
 
-    def score(self, A=None, y=None):
-        self._check_fitted()
-        return self.value_
 
-
-class HomogeneousPolynomialMaximizer(ParamEstimator):
+class HomogeneousPolynomialMaximizer(_TensorMaximizer):
     """Maximize a super-symmetric polynomial over the L_p ball.
 
     fit(A) relaxes to the multilinear problem, solves it, and polarizes back;
     exposes x_hat_, value_, ml_value_, parity_ and certificate_.
     """
-
-    def __init__(self, p=2.5, seed=0, trials=100, tol=1e-6, max_samples=256,
-                 strategy="krivine"):
-        self.p = p
-        self.seed = seed
-        self.trials = trials
-        self.tol = tol
-        self.max_samples = max_samples
-        self.strategy = strategy
 
     def fit(self, A, y=None):
         inst = HpInstance(as_tensor(A), self.p, _config_from(self))
@@ -114,10 +107,6 @@ class HomogeneousPolynomialMaximizer(ParamEstimator):
         self.ml_value_ = cert.ml_value
         self.parity_ = cert.parity
         return self
-
-    def score(self, A=None, y=None):
-        self._check_fitted()
-        return self.value_
 
 
 class PqNormEstimator(ParamEstimator):
@@ -138,10 +127,7 @@ class PqNormEstimator(ParamEstimator):
         self.max_iter = max_iter
 
     def fit(self, B, y=None):
-        B = as_matrix(B)
-        gram = solve_vecp(B, self.p, tol=self.tol, max_iter=self.max_iter)
-        pair = round_gram(B, gram, self.p, strategy=self.strategy,
-                          trials=self.trials, rng=derive_rng(self.seed, STREAM_TRIALS))
+        gram, pair = pq_norm_lb(B, self.p, _config_from(self))
         self.gram_ = gram
         self.relax_value_ = gram.value
         self.value_ = pair.value

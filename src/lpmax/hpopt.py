@@ -22,7 +22,7 @@ from .config import SolverConfig
 from .errors import (BoundViolationError, DegenerateInputError, DomainError,
                      ResourceLimitError, ShapeError)
 from .mlopt import relax_to_ml, solve_ml
-from .tensor import SYM_TOL, Tensor, as_tensor, is_supersymmetric
+from .tensor import SYM_TOL, Tensor, as_tensor, contract_all, is_supersymmetric
 from .validation import as_vector, check_p, lp_norm
 
 _BETA_GATE = 20  # 2^d sign patterns are enumerated exhaustively
@@ -66,13 +66,6 @@ class HpCertificate:
     seed: int
 
 
-def _f(arr: np.ndarray, x: np.ndarray) -> float:
-    out = arr
-    for _ in range(arr.ndim):
-        out = np.tensordot(out, x, axes=(0, 0))
-    return float(out)
-
-
 def _check_xs(A: Tensor, xs):
     if len(xs) != A.order:
         raise ShapeError(f"need {A.order} vectors, got {len(xs)}")
@@ -101,7 +94,7 @@ def polarize_odd(A, xs, p):
         # prod_{i != j} beta_i = (prod beta) * beta_j since beta_j^2 = 1
         sign = float(np.prod(beta))
         y = sign * sum(b * x for b, x in zip(beta, xs))
-        val = _f(arr, y)
+        val = contract_all(arr, [y] * d)
         if val > best_val:
             best_y, best_val = y, val
     nrm = lp_norm(best_y, pf)
@@ -111,14 +104,14 @@ def polarize_odd(A, xs, p):
             n = lp_norm(x, pf)
             if n == 0.0:
                 continue
-            v = _f(arr, x / n)
+            v = contract_all(arr, [x / n] * d)
             if abs(v) > best_val:
                 best_x, best_val = np.sign(v) * x / n if v != 0 else x / n, abs(v)
         if best_x is None:
             return np.zeros(A.dims[0]), 0.0
-        return best_x, _f(arr, best_x)
+        return best_x, contract_all(arr, [best_x] * d)
     x_hat = best_y / nrm
-    return x_hat, _f(arr, x_hat)
+    return x_hat, contract_all(arr, [x_hat] * d)
 
 
 def polarize_even(A, xs, p):
@@ -144,20 +137,20 @@ def polarize_even(A, xs, p):
         if np.prod(beta) != 1.0:
             continue
         x = sum(b * xj for b, xj in zip(beta, xs)) / d
-        val = _f(arr, x)
+        val = contract_all(arr, [x] * d)
         if val > best_val:
             best_x, best_val = x, val
     # the decoupled vectors themselves are feasible candidates too, and can
     # win when every admissible combination lands in a negative region
     for x in xs:
-        val = _f(arr, x)
+        val = contract_all(arr, [x] * d)
         if val > best_val:
             best_x, best_val = x, val
     nrm = lp_norm(best_x, pf)
     if best_val <= 0.0 or nrm == 0.0:
         return np.zeros(A.dims[0]), 0.0
     x_hat = best_x / nrm
-    return x_hat, _f(arr, x_hat)
+    return x_hat, contract_all(arr, [x_hat] * d)
 
 
 def solve_hp(inst: HpInstance, rng=None) -> HpCertificate:

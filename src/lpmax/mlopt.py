@@ -91,6 +91,7 @@ def _solve_distinct(subs, p: float, cfg: SolverConfig, memo: dict) -> None:
 
 
 def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
+    # not pqnorm.pq_norm_lb: the relaxation usually comes from the level's stacked solve
     key = _key(arr)
     g = memo.get(key)
     if g is None:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, ShapeError
 from .pqnorm import holder_dual
 from .symmetry import symmetrize
-from .tensor import SYM_TOL, as_tensor, eval_multilinear, is_supersymmetric
+from .tensor import SYM_TOL, as_tensor, contract_all, eval_multilinear, is_supersymmetric
 from .validation import INF, check_p, conjugate_exponent
 
 GRID_BUDGET = 10 ** 8
@@ -234,19 +234,12 @@ def _ml_ascent(arr, xs, p, q, sweeps=300, rtol=1e-13):
                     continue
                 w = np.tensordot(w, xs[j], axes=(j, 0))
             xs[i] = _dual_vec(w, q)
-        new = float(np.abs(_contract_all(arr, xs)))
+        new = float(np.abs(contract_all(arr, xs)))
         if new <= val * (1.0 + rtol) + 1e-300:
             val = max(val, new)
             break
         val = new
     return xs, val
-
-
-def _contract_all(arr, xs):
-    out = arr
-    for x in xs:
-        out = np.tensordot(out, x, axes=(0, 0))
-    return float(out)
 
 
 def grid_ml(A, p, steps, refine=0) -> OracleResult:
@@ -360,7 +353,7 @@ def grid_hp(A, p, steps, refine=0) -> OracleResult:
     if best_val < 0.0:
         return OracleResult(value=0.0, argmax=(np.zeros(n),),
                             method=OracleMethod.GRID, resolution=step)
-    value = _contract_all(arr, [best_x] * A.order)
+    value = contract_all(arr, [best_x] * A.order)
     return OracleResult(value=float(value), argmax=(best_x,),
                         method=OracleMethod.GRID, resolution=step)
 

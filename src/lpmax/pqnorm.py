@@ -557,14 +557,16 @@ def round_gram(B, g: GramSolution, p, strategy: str = "krivine", trials: int = 1
     return RoundedPair(y=y, z=z, value=float(y @ B @ z))
 
 
-def pq_norm_lb(B, p, cfg: SolverConfig | None = None, rng=None) -> RoundedPair:
+def pq_norm_lb(B, p, cfg: SolverConfig | None = None, rng=None) -> tuple[GramSolution, RoundedPair]:
     """solve_vecp then round_gram: a feasible lower bound on ||B||_{p->q}.
 
-    With high probability over trials the value lands in
-    [relaxation/K_G - tol, ||B||_{p->q}].
+    Returns the relaxation's Gram solution and the rounded pair.  With high
+    probability over trials the pair's value lands in
+    [relaxation/K_G - tol, ||B||_{p->q}].  Trials draw from ``rng``, by default
+    ``derive_rng(cfg.seed, STREAM_TRIALS)``.
     """
     cfg = cfg or SolverConfig()
     g = solve_vecp(B, p, cfg.tol, cfg.max_iter)
     if rng is None:
         rng = derive_rng(cfg.seed, STREAM_TRIALS)
-    return round_gram(B, g, p, cfg.strategy, cfg.trials, rng)
+    return g, round_gram(B, g, p, cfg.strategy, cfg.trials, rng)

@@ -100,10 +100,15 @@ def eval_multilinear(A, xs: Sequence) -> float:
     arr = _raw(A)
     if len(xs) != arr.ndim:
         raise ShapeError(f"need {arr.ndim} vectors, got {len(xs)}")
-    vs = [as_vector(x, n, name=f"xs[{i}]") for i, (x, n) in enumerate(zip(xs, arr.shape))]
+    return contract_all(arr, [as_vector(x, n, name=f"xs[{i}]")
+                              for i, (x, n) in enumerate(zip(xs, arr.shape))])
+
+
+def contract_all(arr: np.ndarray, xs) -> float:
+    """eval_multilinear without input checks, for callers that built ``xs``."""
     out = arr
-    for v in vs:
-        out = np.tensordot(out, v, axes=(0, 0))
+    for x in xs:
+        out = np.tensordot(out, x, axes=(0, 0))
     return float(out)
 
 

@@ -37,7 +37,7 @@ def test_d2_matches_pqnorm_pipeline(rng):
     B = rng.standard_normal((3, 4))
     cfg = SolverConfig(seed=5, trials=40)
     cert = solve_ml(MlInstance(B, INF, cfg))
-    pair = pq_norm_lb(B, INF, cfg)
+    _, pair = pq_norm_lb(B, INF, cfg)
     assert cert.value == pytest.approx(pair.value, abs=1e-12)
     assert np.allclose(cert.xs[0], pair.y) and np.allclose(cert.xs[1], pair.z)
     assert cert.trials_used == cfg.trials

@@ -252,7 +252,7 @@ def test_round_gram_rejects_unknown_strategy(rng):
 
 
 def test_pq_norm_lb_identity():
-    pair = pq_norm_lb(np.eye(2), INF)
+    _, pair = pq_norm_lb(np.eye(2), INF)
     assert abs(pair.value - 2.0) <= 1e-6
 
 
@@ -261,7 +261,8 @@ def test_pq_norm_lb_within_grothendieck(rng):
         B = np.random.default_rng(100 + k).standard_normal((4, 4))
         p = [3.0, 4.0, INF][k % 3]
         g = solve_vecp(B, p)
-        pair = pq_norm_lb(B, p)
+        g_lb, pair = pq_norm_lb(B, p)
+        assert g_lb.value == g.value
         assert pair.value <= g.value + 1e-9
         assert pair.value >= g.value / KG_BOUND - 1e-6
 

@@ -51,8 +51,8 @@ _SETTINGS = {
     "p": ("inf", None, "exponent in (2, inf]: rational like 5/2, decimal, or inf"),
     "seed": (0, click.INT, None),
     "trials": (100, click.IntRange(min=1), "rounding trials per matrix subproblem"),
-    "tol": (1e-6, click.FLOAT, None),
-    "steps": (33, click.INT, "oracle grid points per axis"),
+    "tol": (1e-6, click.FloatRange(min=0, min_open=True), None),
+    "steps": (33, click.IntRange(min=2), "oracle grid points per axis"),
     "strategy": ("krivine", click.Choice(["hyperplane", "krivine"]), None),
     "max_samples": (256, click.IntRange(min=1), "cap on direction samples per recursion level"),
     "format": ("text", click.Choice(["text", "json"]), None),
@@ -145,6 +145,12 @@ def _resolve(flags: dict, config: dict) -> dict:
         v = flags.get(key)
         if v is None or (key == "oracle" and v is False):
             v = config.get(key, default)
+        # click's number types would read JSON true as 1 and 2.7 as 2
+        integer = isinstance(kind, click.types.IntParamType)
+        if (integer or isinstance(kind, click.types.FloatParamType)) and (
+                isinstance(v, bool) or integer and isinstance(v, float)):
+            raise ValueError(f"invalid {key}: {json.dumps(v)} is not "
+                             + ("an integer" if integer else "a number"))
         if kind is not None:
             try:
                 v = kind.convert(v, None, None)
@@ -217,13 +223,15 @@ _ORACLES = {
 }
 
 
+def _oracle_block(res):
+    return {"value": res.value, "method": res.method.value, "resolution": res.resolution}
+
+
 def _oracle(A, p, vals):
     if vals["mode"] == "pqnorm" and A.order != 2:
         raise ShapeError("pqnorm oracle needs an order-2 tensor")
     res = _ORACLES[vals["mode"]](A, p, vals["steps"])
-    return res.value, {"value": res.value, "method": res.method.value,
-                       "resolution": res.resolution,
-                       "argmax": [_listify(x) for x in res.argmax]}
+    return res.value, {**_oracle_block(res), "argmax": [_listify(x) for x in res.argmax]}
 
 
 class Command(NamedTuple):
@@ -268,8 +276,7 @@ def run(command, file, p, **values) -> RunReport:
         if cmd.oracle and vals["oracle"]:
             res = _ORACLES[cmd.oracle](A, pex, vals["steps"])
             ratio = float(value / res.value) if res.value != 0.0 else None
-            oracle_block = {"value": res.value, "method": res.method.value,
-                            "resolution": res.resolution, "ratio": ratio}
+            oracle_block = {**_oracle_block(res), "ratio": ratio}
     wall = time.perf_counter() - t0
     return RunReport(
         command=command,

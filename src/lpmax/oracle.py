@@ -18,6 +18,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,6 @@ _CHUNK = 1 << 16
 class OracleMethod(str, enum.Enum):
     VERTEX_ENUM = "vertex_enum"
     GRID = "grid"
-    CLOSED_FORM = "closed_form"
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def _sign_rows(n, pin_first=False):
     """All +-1 vectors of length n; pin_first fixes coordinate 0 to +1."""
     free = n - 1 if pin_first else n
     rows = np.array(list(itertools.product((1.0, -1.0), repeat=free)))
-    rows = rows.reshape(-1, free)
+    rows = rows.reshape(2 ** free, free)
     if pin_first:
         rows = np.hstack([np.ones((rows.shape[0], 1)), rows])
     return rows
@@ -74,29 +74,12 @@ def exact_ml_linf(A) -> OracleResult:
         raise ResourceLimitError(
             f"vertex enumeration gate exceeded: sum(dims)={sum(A.dims)} > {_SIGN_GATE}"
         )
-    arr = A.data
-    d = A.order
-    if d == 2:
-        X = _sign_rows(A.dims[0], pin_first=True)
-        W = X @ arr
-        vals = np.abs(W).sum(axis=1)
-        k = int(np.argmax(vals))
-        y = np.where(W[k] >= 0.0, 1.0, -1.0)
-        xs = (X[k].copy(), y)
-    else:
-        grids = [_sign_rows(A.dims[0], pin_first=True)]
-        grids += [_sign_rows(n) for n in A.dims[1:-1]]
-        best_val, best = -math.inf, None
-        for combo in itertools.product(*(list(g) for g in grids)):
-            out = arr
-            for v in combo:
-                out = np.tensordot(out, v, axes=(0, 0))
-            val = float(np.abs(out).sum())
-            if val > best_val:
-                best_val, best = val, (combo, out)
-        combo, out = best
-        y = np.where(out >= 0.0, 1.0, -1.0)
-        xs = tuple(v.copy() for v in combo) + (y,)
+    # each slot is one block holding all its sign rows
+    blocks = [(lambda rows=_sign_rows(n, pin_first=(i == 0)): (rows,))
+              for i, n in enumerate(A.dims[:-1])]
+    top = _TopK(1)
+    _scan_ml(A.data, blocks, 1.0, top, ())
+    xs = _complete(A.data, top.best[1], 1.0)
     value = eval_multilinear(A, list(xs))
     return OracleResult(value=float(value), argmax=xs,
                         method=OracleMethod.VERTEX_ENUM, resolution=0.0)
@@ -143,9 +126,8 @@ def _sphere_chunks(n, steps, p):
         for sgn in (1.0, -1.0):
             axes = [inner] * k + [np.array([sgn])] + [full] * (n - 1 - k)
             for block in _mesh_rows(axes):
-                if p != INF:
-                    nrm = np.sum(np.abs(block) ** p, axis=1) ** (1.0 / p)
-                    block = block / nrm[:, None]
+                if p != INF:  # rows of the cube surface already have sup-norm 1
+                    block = block / _row_norms(block, p)[:, None]
                 yield block
 
 
@@ -171,21 +153,18 @@ class _TopK:
             self.items[-1] = (value, payload)
             self.items.sort(key=lambda t: -t[0])
 
-    def offer_block(self, values, rows):
-        take = min(self.k, values.size)
-        idx = np.argpartition(values, -take)[-take:]
-        for i in idx:
-            self.offer(float(values[i]), rows[i].copy())
-
     @property
     def best(self):
         return self.items[0]
 
 
-def _dual_norm_rows(W, q):
-    if q == 1.0:
-        return np.abs(W).sum(axis=1)
-    return np.sum(np.abs(W) ** q, axis=1) ** (1.0 / q)
+def _row_norms(X, r):
+    """L_r norm of each row of X, for r = inf, 1 or a power."""
+    if r == INF:
+        return np.max(np.abs(X), axis=1)
+    if r == 1.0:
+        return np.abs(X).sum(axis=1)
+    return np.sum(np.abs(X) ** r, axis=1) ** (1.0 / r)
 
 
 def _dual_vec(w, q):
@@ -204,21 +183,33 @@ def _dual_vec(w, q):
     return holder_dual(w, q)
 
 
-def _scan_ml(arr, dims, p, q, steps, top, prefix):
-    """Grid slots left-to-right; the 2-D tail is vectorized per chunk."""
+def _complete(arr, prefix, q):
+    """prefix plus the Holder dual of the contraction it leaves: the best
+    last slot for those fixed slots."""
+    w = arr
+    for x in prefix:
+        w = np.tensordot(w, x, axes=(0, 0))
+    return tuple(prefix) + (_dual_vec(w, q),)
+
+
+def _scan_ml(arr, blocks, q, top, prefix):
+    """Enumerate slots left to right, slot i over the row blocks that
+    ``blocks[i]()`` yields, and offer each prefix with the L_q norm of the
+    contraction it leaves; the last enumerated slot is vectorized per block.
+    Offers are strictly-greater, so ties keep the first row in scan order."""
     if arr.ndim == 2:
-        for block in _sphere_chunks(arr.shape[0], steps, p):
-            vals = _dual_norm_rows(block @ arr, q)
+        for block in blocks[0]():
+            vals = _row_norms(block @ arr, q)
             k = int(np.argmax(vals))
             top.offer(float(vals[k]), prefix + (block[k].copy(),))
         return
-    for block in _sphere_chunks(arr.shape[0], steps, p):
+    for block in blocks[0]():
         for row in block:
             sub = np.tensordot(arr, row, axes=(0, 0))
-            _scan_ml(sub, dims[1:], p, q, steps, top, prefix + (row.copy(),))
+            _scan_ml(sub, blocks[1:], q, top, prefix + (row.copy(),))
 
 
-def _ml_ascent(arr, xs, p, q, sweeps=300, rtol=1e-13):
+def _ml_ascent(arr, xs, q, sweeps=300, rtol=1e-13):
     """Exact per-slot maximization: fixing all but one slot reduces the
     multilinear problem to a Holder pairing, solved by the dual vector."""
     d = arr.ndim
@@ -239,7 +230,7 @@ def _ml_ascent(arr, xs, p, q, sweeps=300, rtol=1e-13):
             val = max(val, new)
             break
         val = new
-    return xs, val
+    return val, tuple(xs)
 
 
 def grid_ml(A, p, steps, refine=0) -> OracleResult:
@@ -260,27 +251,15 @@ def grid_ml(A, p, steps, refine=0) -> OracleResult:
         raise ResourceLimitError(f"grid budget exceeded: {total} > {GRID_BUDGET}")
     q = conjugate_exponent(p)
     top = _TopK(max(1, refine))
-    _scan_ml(A.data, A.dims, p, q, steps, top, ())
-    best_val, best_prefix = top.best
-    candidates = [(best_val, best_prefix)]
+    _scan_ml(A.data, [partial(_sphere_chunks, n, steps, p) for n in A.dims[:-1]],
+             q, top, ())
+    candidates = [top.best]
     if refine > 0:
-        polished = []
-        for val, prefix in top.items:
-            w = A.data
-            for x in prefix:
-                w = np.tensordot(w, x, axes=(0, 0))
-            xs0 = list(prefix) + [_dual_vec(w, q)]
-            xs, new_val = _ml_ascent(A.data, xs0, p, q)
-            polished.append((new_val, tuple(xs)))
-        candidates.extend(polished)
-        best_val, best_prefix = max(candidates, key=lambda t: t[0])
-    if len(best_prefix) == A.order - 1:
-        w = A.data
-        for x in best_prefix:
-            w = np.tensordot(w, x, axes=(0, 0))
-        xs = tuple(best_prefix) + (_dual_vec(w, q),)
-    else:
-        xs = tuple(best_prefix)
+        candidates += [_ml_ascent(A.data, _complete(A.data, prefix, q), q)
+                       for _, prefix in top.items]
+    best = max(candidates, key=lambda t: t[0])[1]
+    # a scanned prefix still lacks its last slot; a polished point is complete
+    xs = _complete(A.data, best, q) if len(best) == A.order - 1 else best
     value = eval_multilinear(A, list(xs))
     if value < 0.0:
         xs = (-xs[0],) + xs[1:]
@@ -339,10 +318,7 @@ def grid_hp(A, p, steps, refine=0) -> OracleResult:
         h = step
         for _ in range(int(refine)):
             pts = best_x[None, :] + h * offsets
-            if p == INF:
-                scale = np.max(np.abs(pts), axis=1)
-            else:
-                scale = np.sum(np.abs(pts) ** p, axis=1) ** (1.0 / p)
+            scale = _row_norms(pts, p)
             keep = scale > 0.0
             pts = pts[keep] / scale[keep][:, None]
             vals = _poly_rows(arr, pts)
@@ -372,10 +348,8 @@ def fn_check(n, d, p, steps):
     """
     if int(n) != n or int(d) != d or not 2 <= n <= d:
         raise DomainError(f"need integers 2 <= n <= d, got n={n}, d={d}")
-    p = check_p(p, allow_low=True)
-    if int(steps) != steps or steps < 2:
-        raise DomainError(f"steps must be an integer >= 2, got {steps}")
-    n, d, steps = int(n), int(d), int(steps)
+    p, steps = _check_grid_args(p, steps)
+    n, d = int(n), int(d)
     ipow = 0.0 if p == INF else 1.0 / p
     axis = np.linspace(0.0, float(d), steps)
     grid_max = -math.inf

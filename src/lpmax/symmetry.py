@@ -95,11 +95,6 @@ def embed_matrix(B, d: int) -> Tensor:
     return Tensor(B.reshape((1,) * (d - 2) + B.shape))
 
 
-def _block_scaling_gain(theta: float, d: int, p: float) -> float:
-    """Factor applied to F when one block of p-norm-mass theta is rebalanced."""
-    return (d - 1) ** ((d - 1) / p) * ((d - theta) ** (d - 1) * theta) ** (-1.0 / p)
-
-
 def rebalance_blocks(A, zs, p, *, tol: float = 1e-10, max_iter: int = 10000) -> list[np.ndarray]:
     """Rescale blocks so every block p-norm is 1, never decreasing a positive F_A.
 

@@ -130,6 +130,14 @@ def test_oracle_modes(runner, files):
     assert res.exit_code == 0, res.output
 
 
+def test_oracle_enumerates_a_first_slot_of_length_one(runner, tmp_path):
+    row = tmp_path / "row.json"
+    save_tensor(np.array([[1.0, -2.0, 0.5, 3.0]]), row)
+    res = runner.invoke(main, ["oracle", str(row), "--p", "inf", "--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["certificate"]["value"] == 6.5
+
+
 def test_exit_code_parse_errors(runner, files):
     assert runner.invoke(main, ["solve-ml", files["garbage"], "--p", "inf"]).exit_code == EXIT_PARSE
     assert runner.invoke(main, ["solve-ml", files["cube"], "--p", "2"]).exit_code == EXIT_PARSE
@@ -180,7 +188,9 @@ def test_exit_code_bound_violation(runner, files, monkeypatch):
 
 
 @pytest.mark.parametrize("doc", [{"strategy": "bogus"}, {"trials": "abc"},
-                                 {"format": "xml"}, {"max_samples": -3}])
+                                 {"format": "xml"}, {"max_samples": -3},
+                                 {"trials": 2.7}, {"max_samples": 4.0}, {"seed": True},
+                                 {"steps": True}, {"tol": True}, {"steps": 1}, {"tol": 0}])
 def test_config_values_are_validated_like_flags(runner, files, tmp_path, monkeypatch, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))

@@ -65,6 +65,9 @@ CASES = {
     "exit2-p-word": (("oracle", "mat.json", "--p", "nope"), None),
     "exit2-strategy-flag": (("solve-ml", "cube.json", "--strategy", "bogus"), None),
     "exit2-trials-flag": (("pqnorm", "mat.json", "--trials", "0"), None),
+    "exit2-steps-flag": (("solve-ml", "cube.json", "--p", "inf", "--oracle", "--steps", "1"),
+                         None),
+    "exit2-tol-config": (("pqnorm", "mat.json"), {"p": "inf", "tol": 0}),
     "exit2-oracle-mode": (("oracle", "mat.json", "--mode", "xx"), None),
     "exit2-symmetrize-garbage": (("symmetrize", "garbage.json", "--out", "g.json"), None),
     "exit2-cfg-oracle": (("oracle", "mat.json", "--p", "inf"), {"strategy": "bogus"}),
@@ -90,7 +93,9 @@ PINNED = {
     "exit2-p": "ea21412fbfd7c525",
     "exit2-p-word": "e2d80794483856c0",
     "exit2-strategy-flag": "96c7d31dc7439149",
+    "exit2-steps-flag": "878cc64528ab36f7",
     "exit2-symmetrize-garbage": "74e3978b60f4d7d8",
+    "exit2-tol-config": "c1bd13de19940cda",
     "exit2-trials-flag": "65e793e76cbfd86e",
     "exit3-hp-asym": "43b7d0a0657efdf8",
     "exit3-oracle-pq-cube": "eb6458545a8e9660",
@@ -98,8 +103,8 @@ PINNED = {
     "exit3-zero": "9cef3b40fbd18afe",
     "exit4-oracle-grid": "4373e8da219beb1c",
     "help-main": "43bf58ce3fe35c19",
-    "help-ml": "ed40e4513b20c5fc",
-    "help-pq": "995801b36309c011",
+    "help-ml": "15b5d1038ca101b6",
+    "help-pq": "461d5586f68aab2d",
     "hp-even": "e47e71c20725dfd3",
     "hp-json": "f9e84e2d232290bc",
     "hp-oracle": "db177d63eee2b852",

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,11 @@ from lpmax.oracle import (
     fn_check,
     grid_hp,
     grid_ml,
+    oracle_ml,
     sym_equivalence_check,
 )
 from lpmax.pqnorm import solve_vecp
+from lpmax.symmetry import symmetrize
 from lpmax.tensor import as_tensor, eval_multilinear, eval_poly
 from lpmax.validation import INF, conjugate_exponent, lp_norm
 
@@ -58,6 +63,18 @@ def test_exact_dominates_random_sign_probes(rng):
     for _ in range(200):
         xs = [np.sign(rng.standard_normal(n)) for n in (2, 3, 2)]
         assert eval_multilinear(A, xs) <= res.value + 1e-12
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 4), (1, 2, 2), (2, 1, 3), (1, 3, 1, 2)])
+def test_exact_matches_brute_force_with_slots_of_length_one(dims):
+    A = np.random.default_rng(sum(dims)).standard_normal(dims)
+    brute = max(eval_multilinear(A, [np.array(x) for x in xs])
+                for xs in itertools.product(*(itertools.product((1.0, -1.0), repeat=n)
+                                              for n in dims)))
+    res = exact_ml_linf(A)
+    assert res.value == pytest.approx(brute, rel=1e-12)
+    assert [x.shape for x in res.argmax] == [(n,) for n in dims]
+    assert eval_multilinear(A, list(res.argmax)) == res.value
 
 
 def test_exact_size_gate():
@@ -237,3 +254,160 @@ def test_oracle_result_frozen():
     assert isinstance(res, OracleResult)
     with pytest.raises(AttributeError):
         res.value = 0.0
+
+
+# ---------------------------------------------------------------------------
+# pinned oracle corpus: argmax bytes, value, method and resolution per case
+# ---------------------------------------------------------------------------
+
+def _ints(shape, seed, low=-2, high=2):
+    return np.random.default_rng(seed).integers(low, high + 1, size=shape).astype(float)
+
+
+def _signs(shape, seed):
+    return np.where(np.random.default_rng(seed).standard_normal(shape) >= 0.0, 1.0, -1.0)
+
+
+def _gauss(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def _sym(n, d, seed):
+    return random_supersym(np.random.default_rng(seed), n, d)
+
+
+def _single(shape, index, value):
+    A = np.zeros(shape)
+    A[index] = value
+    return A
+
+
+ORACLE_CASES = {
+    "exact-d2-gauss": lambda: exact_ml_linf(_gauss((3, 4), 11)),
+    "exact-d2-int": lambda: exact_ml_linf(_ints((4, 5), 12)),
+    "exact-d2-sign": lambda: exact_ml_linf(_signs((5, 3), 13)),
+    "exact-d2-ones": lambda: exact_ml_linf(np.ones((3, 3))),
+    "exact-d3-gauss": lambda: exact_ml_linf(_gauss((2, 3, 2), 14)),
+    "exact-d3-6x6x6": lambda: exact_ml_linf(_gauss((6, 6, 6), 15)),
+    "exact-d3-int": lambda: exact_ml_linf(_ints((3, 3, 3), 16, -1, 1)),
+    "exact-d3-sign": lambda: exact_ml_linf(_signs((3, 4, 3), 17)),
+    "exact-d3-ones": lambda: exact_ml_linf(np.ones((2, 2, 2))),
+    "exact-d3-single": lambda: exact_ml_linf(_single((2, 3, 2), (1, 2, 0), -5.0)),
+    "exact-d4-gauss": lambda: exact_ml_linf(_gauss((2, 3, 2, 3), 18)),
+    "exact-d4-int": lambda: exact_ml_linf(_ints((3, 2, 2, 2), 19, -1, 1)),
+    "exact-d4-sign": lambda: exact_ml_linf(_signs((2, 2, 2, 2), 20)),
+    "exact-d5-gauss": lambda: exact_ml_linf(_gauss((2, 2, 2, 2, 3), 21)),
+    "exact-d5-int": lambda: exact_ml_linf(_ints((2, 2, 3, 2, 2), 22, -1, 1)),
+    "exact-d5-sign": lambda: exact_ml_linf(_signs((2, 2, 2, 2, 2), 23)),
+}
+for _i, (_p, _r) in enumerate(itertools.product((2.0, 3.0, 3.5, 4.0, INF), (0, 1, 6))):
+    ORACLE_CASES[f"grid-ml-p{_p}-r{_r}-d2"] = (
+        lambda p=_p, r=_r, s=30 + _i: grid_ml(_gauss((3, 3), s), p, steps=9, refine=r))
+    ORACLE_CASES[f"grid-ml-p{_p}-r{_r}-d3"] = (
+        lambda p=_p, r=_r, s=60 + _i: grid_ml(_gauss((2, 3, 2), s), p, steps=7, refine=r))
+ORACLE_CASES["grid-ml-int-ties"] = lambda: grid_ml(_ints((3, 2, 3), 90, -1, 1), 4.0, 5, 2)
+ORACLE_CASES["grid-ml-zero-slice"] = lambda: grid_ml(_single((2, 2, 3), (0, 1, 2), 1.0),
+                                                     3.0, 5, 1)
+for _i, (_p, _r) in enumerate(itertools.product((3.0, 4.0, INF), (0, 8))):
+    ORACLE_CASES[f"grid-hp-p{_p}-r{_r}-d3"] = (
+        lambda p=_p, r=_r, s=100 + _i: grid_hp(_sym(3, 3, s), p, steps=9, refine=r))
+    ORACLE_CASES[f"grid-hp-p{_p}-r{_r}-d4"] = (
+        lambda p=_p, r=_r, s=120 + _i: grid_hp(_sym(2, 4, s), p, steps=9, refine=r))
+# sym_equivalence_check: its verdict, and the two oracle calls it makes
+for _name, _A, _p, _steps in (("cube-inf", _gauss((2, 2, 2), 140), INF, 9),
+                              ("mat-p4", _gauss((2, 2), 141), 4.0, 9),
+                              ("padded-inf", np.pad(_gauss((2, 2, 2), 142), (0, 1)), INF, 2)):
+    ORACLE_CASES[f"sym-{_name}-check"] = (
+        lambda A=_A, p=_p, s=_steps: sym_equivalence_check(A, p, s))
+    ORACLE_CASES[f"sym-{_name}-lhs"] = lambda A=_A, p=_p, s=_steps: oracle_ml(A, p, s, 4)
+    ORACLE_CASES[f"sym-{_name}-rhs"] = (
+        lambda A=_A, p=_p, s=_steps: oracle_ml(symmetrize(A), p, s, 4))
+
+
+def oracle_digest(res) -> str:
+    if isinstance(res, bool):
+        return repr(res)
+    h = hashlib.sha256()
+    for x in res.argmax:
+        x = np.asarray(x)
+        h.update(repr((x.dtype.str, x.shape)).encode() + x.tobytes())
+    h.update(f"{res.value!r}|{res.method.value}|{res.resolution!r}".encode())
+    return h.hexdigest()[:16]
+
+
+PINNED_ORACLES = {
+    "exact-d2-gauss": "1b8b8c288396c1c5",
+    "exact-d2-int": "8cb68b34ff5356dd",
+    "exact-d2-ones": "2305a561dcb40925",
+    "exact-d2-sign": "79616109b433b0f8",
+    "exact-d3-6x6x6": "0086ba280aa50247",
+    "exact-d3-gauss": "aa7cef842d4c8d02",
+    "exact-d3-int": "4c62bad417e2a235",
+    "exact-d3-ones": "f87adc41bdf90c81",
+    "exact-d3-sign": "a6c9683a59534380",
+    "exact-d3-single": "6b51a28a65fcd96f",
+    "exact-d4-gauss": "b64cee71cb12cb86",
+    "exact-d4-int": "cf51d2a45aa1329b",
+    "exact-d4-sign": "877fd335994aced4",
+    "exact-d5-gauss": "f29632538664122c",
+    "exact-d5-int": "22df1e2f89724c9c",
+    "exact-d5-sign": "d40f7a7e178844d5",
+    "grid-hp-p3.0-r0-d3": "65580ad15454715f",
+    "grid-hp-p3.0-r0-d4": "68f437e72ae75be5",
+    "grid-hp-p3.0-r8-d3": "ec81a19e254805d7",
+    "grid-hp-p3.0-r8-d4": "9ccfbe6737381e7a",
+    "grid-hp-p4.0-r0-d3": "44b03b0eabc87065",
+    "grid-hp-p4.0-r0-d4": "e74857ea002e553f",
+    "grid-hp-p4.0-r8-d3": "d7940700664e09ed",
+    "grid-hp-p4.0-r8-d4": "047eb8dc9cf51cc8",
+    "grid-hp-pinf-r0-d3": "223bb84bb0919d9c",
+    "grid-hp-pinf-r0-d4": "fde7219addb26921",
+    "grid-hp-pinf-r8-d3": "ce6665604ce2cde3",
+    "grid-hp-pinf-r8-d4": "f9f96f626bd6f927",
+    "grid-ml-int-ties": "1d3448954168f895",
+    "grid-ml-p2.0-r0-d2": "1667af49e0b33366",
+    "grid-ml-p2.0-r0-d3": "79e71bc53f88434a",
+    "grid-ml-p2.0-r1-d2": "9f9d0acd11cf9d70",
+    "grid-ml-p2.0-r1-d3": "386d1a7d6eafd039",
+    "grid-ml-p2.0-r6-d2": "fa065d99bd891471",
+    "grid-ml-p2.0-r6-d3": "0e49ed0cd9838958",
+    "grid-ml-p3.0-r0-d2": "ddcb48d55ef82f61",
+    "grid-ml-p3.0-r0-d3": "212600235c8a942b",
+    "grid-ml-p3.0-r1-d2": "210605d6c91f55cc",
+    "grid-ml-p3.0-r1-d3": "19890aa6a9a7866e",
+    "grid-ml-p3.0-r6-d2": "06514abd95b8f677",
+    "grid-ml-p3.0-r6-d3": "baacd825c0c055c0",
+    "grid-ml-p3.5-r0-d2": "0aa3f6866565a376",
+    "grid-ml-p3.5-r0-d3": "d07e387eb17920a7",
+    "grid-ml-p3.5-r1-d2": "83dd9125e133e946",
+    "grid-ml-p3.5-r1-d3": "f47b6c62fbcc1900",
+    "grid-ml-p3.5-r6-d2": "369039715f9d0833",
+    "grid-ml-p3.5-r6-d3": "d1df4a3711b1ec62",
+    "grid-ml-p4.0-r0-d2": "45edce3432cab10c",
+    "grid-ml-p4.0-r0-d3": "a61e93b07c86f2f2",
+    "grid-ml-p4.0-r1-d2": "5fc42c4b787b3854",
+    "grid-ml-p4.0-r1-d3": "71edd2e6d970bcab",
+    "grid-ml-p4.0-r6-d2": "12b4dc68ed53c66a",
+    "grid-ml-p4.0-r6-d3": "8ad43730231002d5",
+    "grid-ml-pinf-r0-d2": "9afb0b5cdf413c1e",
+    "grid-ml-pinf-r0-d3": "9844b76181bdb914",
+    "grid-ml-pinf-r1-d2": "52d5f93bf6e51b9b",
+    "grid-ml-pinf-r1-d3": "f7c01c7e93b83906",
+    "grid-ml-pinf-r6-d2": "b7bb653efd5bf459",
+    "grid-ml-pinf-r6-d3": "2728d4625bb1769a",
+    "grid-ml-zero-slice": "0098195e372a1c9f",
+    "sym-cube-inf-check": "True",
+    "sym-cube-inf-lhs": "6c62713f049beeae",
+    "sym-cube-inf-rhs": "21e368912be4e5b7",
+    "sym-mat-p4-check": "True",
+    "sym-mat-p4-lhs": "cc25342c5727cde4",
+    "sym-mat-p4-rhs": "42a730e7078bdab2",
+    "sym-padded-inf-check": "True",
+    "sym-padded-inf-lhs": "046d3589fef5f8c3",
+    "sym-padded-inf-rhs": "586125f31195dce1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_pinned_oracle_corpus(case):
+    assert oracle_digest(ORACLE_CASES[case]()) == PINNED_ORACLES[case]

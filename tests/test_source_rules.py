@@ -1,0 +1,16 @@
+"""Rules every module of the package keeps."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lpmax"
+
+
+def test_no_assert_statements():
+    # guarantees must still be checked under `python -O`, which strips asserts
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}"
+             for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -50,14 +50,11 @@ class OracleResult:
 # exact enumeration at p = inf
 # ---------------------------------------------------------------------------
 
-def _sign_rows(n, pin_first=False):
-    """All +-1 vectors of length n; pin_first fixes coordinate 0 to +1."""
-    free = n - 1 if pin_first else n
-    rows = np.array(list(itertools.product((1.0, -1.0), repeat=free)))
-    rows = rows.reshape(2 ** free, free)
-    if pin_first:
-        rows = np.hstack([np.ones((rows.shape[0], 1)), rows])
-    return rows
+def _sign_chunks(n, pin_first=False):
+    """All +-1 vectors of length n in product order, as _CHUNK-row blocks;
+    pin_first fixes coordinate 0 to +1."""
+    signs = np.array([1.0, -1.0])
+    return _mesh_rows([np.ones(1) if pin_first and k == 0 else signs for k in range(n)])
 
 
 def exact_ml_linf(A) -> OracleResult:
@@ -74,11 +71,11 @@ def exact_ml_linf(A) -> OracleResult:
         raise ResourceLimitError(
             f"vertex enumeration gate exceeded: sum(dims)={sum(A.dims)} > {_SIGN_GATE}"
         )
-    # each slot is one block holding all its sign rows
-    blocks = [(lambda rows=_sign_rows(n, pin_first=(i == 0)): (rows,))
-              for i, n in enumerate(A.dims[:-1])]
     top = _TopK(1)
-    _scan_ml(A.data, blocks, 1.0, top, ())
+    sources = _slot_sources((partial(_sign_chunks, n, pin_first=(i == 0)),
+                             2 ** (n - 1 if i == 0 else n))
+                            for i, n in enumerate(A.dims[:-1]))
+    _scan_ml(A.data, sources, 1.0, top, ())
     xs = _complete(A.data, top.best[1], 1.0)
     value = eval_multilinear(A, list(xs))
     return OracleResult(value=float(value), argmax=xs,
@@ -96,20 +93,24 @@ def _mesh_rows(axes, chunk=_CHUNK):
     while split > 0 and tail * sizes[split - 1] <= chunk:
         split -= 1
         tail *= sizes[split]
-    tail_axes = axes[split:]
-    if tail_axes:
-        mesh = np.meshgrid(*tail_axes, indexing="ij")
-        tail_block = np.stack([m.ravel() for m in mesh], axis=1)
-    else:
-        tail_block = np.zeros((1, 0))
-    if tail_block.shape[0] == 0:  # an empty axis means an empty product
+    if tail == 0:  # an empty axis means an empty product
         return
     for head in itertools.product(*(list(a) for a in axes[:split])):
-        block = np.empty((tail_block.shape[0], len(axes)))
-        if head:
-            block[:, :split] = head
-        block[:, split:] = tail_block
-        yield block
+        yield _mesh_block(axes, split, head)
+
+
+def _mesh_block(axes, split, head):
+    """One block: the head coordinates fixed, the tail axes broadcast in
+    product order straight into it, so the block is the only array of its
+    size that the generator allocates."""
+    block = np.empty([a.size for a in axes[split:]] + [len(axes)])
+    if head:
+        block[..., :split] = head
+    for j, a in enumerate(axes[split:]):
+        shape = [1] * (len(axes) - split)
+        shape[j] = a.size
+        block[..., split + j] = a.reshape(shape)
+    return block.reshape(-1, len(axes))
 
 
 def _surface_count(n, steps):
@@ -192,6 +193,22 @@ def _complete(arr, prefix, q):
     return tuple(prefix) + (_dual_vec(w, q),)
 
 
+def _slot_sources(slots):
+    """Row sources for _scan_ml from one (blocks, rows) pair per slot.
+
+    _scan_ml calls an inner slot's source once per row of the slots before
+    it, so an inner slot of at most _CHUNK rows is built once and replayed
+    block for block; slot 1 and larger slots stream.  A slot of n
+    coordinates has at least 2^n rows, so a replayed slot holds at most
+    _CHUNK * 16 doubles (8 MiB)."""
+    sources = []
+    for i, (blocks, rows) in enumerate(slots):
+        if i > 0 and rows <= _CHUNK:
+            blocks = (lambda built=tuple(blocks()): built)
+        sources.append(blocks)
+    return sources
+
+
 def _scan_ml(arr, blocks, q, top, prefix):
     """Enumerate slots left to right, slot i over the row blocks that
     ``blocks[i]()`` yields, and offer each prefix with the L_q norm of the
@@ -202,6 +219,7 @@ def _scan_ml(arr, blocks, q, top, prefix):
             vals = _row_norms(block @ arr, q)
             k = int(np.argmax(vals))
             top.offer(float(vals[k]), prefix + (block[k].copy(),))
+            del block  # free it before a streamed source builds the next one
         return
     for block in blocks[0]():
         for row in block:
@@ -251,8 +269,9 @@ def grid_ml(A, p, steps, refine=0) -> OracleResult:
         raise ResourceLimitError(f"grid budget exceeded: {total} > {GRID_BUDGET}")
     q = conjugate_exponent(p)
     top = _TopK(max(1, refine))
-    _scan_ml(A.data, [partial(_sphere_chunks, n, steps, p) for n in A.dims[:-1]],
-             q, top, ())
+    sources = _slot_sources((partial(_sphere_chunks, n, steps, p), _surface_count(n, steps))
+                            for n in A.dims[:-1])
+    _scan_ml(A.data, sources, q, top, ())
     candidates = [top.best]
     if refine > 0:
         candidates += [_ml_ascent(A.data, _complete(A.data, prefix, q), q)
@@ -303,8 +322,9 @@ def grid_hp(A, p, steps, refine=0) -> OracleResult:
     if not A.supersymmetric and not is_supersymmetric(A, SYM_TOL):
         raise DomainError("grid_hp needs a super-symmetric tensor")
     n = A.dims[0]
-    if _surface_count(n, steps) > GRID_BUDGET:
-        raise ResourceLimitError("grid budget exceeded")
+    total = _surface_count(n, steps) + int(refine) * 5 ** n
+    if total > GRID_BUDGET:
+        raise ResourceLimitError(f"grid budget exceeded: {total} > {GRID_BUDGET}")
     arr = A.data
     best_val, best_x = -math.inf, None
     for block in _sphere_chunks(n, steps, p):
@@ -313,11 +333,11 @@ def grid_hp(A, p, steps, refine=0) -> OracleResult:
         if float(vals[k]) > best_val:
             best_val, best_x = float(vals[k]), block[k].copy()
     step = 2.0 / (steps - 1)
-    if refine > 0:
-        offsets = np.array(list(itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=n)))
-        h = step
-        for _ in range(int(refine)):
-            pts = best_x[None, :] + h * offsets
+    h = step
+    for _ in range(int(refine)):
+        center = best_x  # every block of a round offsets the same point
+        for offsets in _mesh_rows([np.array([-1.0, -0.5, 0.0, 0.5, 1.0])] * n):
+            pts = center[None, :] + h * offsets
             scale = _row_norms(pts, p)
             keep = scale > 0.0
             pts = pts[keep] / scale[keep][:, None]
@@ -325,7 +345,7 @@ def grid_hp(A, p, steps, refine=0) -> OracleResult:
             k = int(np.argmax(vals))
             if float(vals[k]) > best_val:
                 best_val, best_x = float(vals[k]), pts[k].copy()
-            h *= 0.35
+        h *= 0.35
     if best_val < 0.0:
         return OracleResult(value=0.0, argmax=(np.zeros(n),),
                             method=OracleMethod.GRID, resolution=step)

@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lpmax import oracle
 from lpmax.errors import DomainError, ResourceLimitError, ShapeError
 from lpmax.oracle import (
     OracleMethod,
@@ -77,6 +79,22 @@ def test_exact_matches_brute_force_with_slots_of_length_one(dims):
     assert eval_multilinear(A, list(res.argmax)) == res.value
 
 
+def test_exact_sign_rows_stream_in_bounded_blocks():
+    # slot 1 holds 2^17 pinned sign rows of 18 coordinates; one 2^16-row
+    # block of them is 9.4 MB, all of them at once were 44 MB
+    A = np.random.default_rng(25).standard_normal((18, 4))
+    tracemalloc.start()
+    try:
+        res = exact_ml_linf(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    # brute force from the short side: max over signs y of ||A y||_1
+    brute = max(np.abs(A @ np.array(y)).sum() for y in itertools.product((1.0, -1.0), repeat=4))
+    assert res.value == pytest.approx(brute, rel=1e-12)
+
+
 def test_exact_size_gate():
     with pytest.raises(ResourceLimitError):
         exact_ml_linf(np.ones((13, 13)))  # sum of dims over the gate
@@ -142,6 +160,23 @@ def test_grid_ml_budget_and_arg_guards(rng):
         grid_ml(np.ones(3), 3.0, steps=5)
 
 
+@pytest.mark.parametrize("dims, steps, calls", [
+    ((3, 3, 3), 5, 2),        # the 98-row inner slot is built once
+    ((1, 3, 2), 106, 3),      # a 66,152-row inner slot streams once per outer row
+])
+def test_grid_ml_builds_each_inner_slot_once(monkeypatch, dims, steps, calls):
+    made = []
+    build = oracle._sphere_chunks
+
+    def counting(*args):
+        made.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "_sphere_chunks", counting)
+    grid_ml(np.random.default_rng(4).standard_normal(dims), 3.0, steps=steps)
+    assert len(made) == calls
+
+
 # ---------------------------------------------------------------------------
 # grid_hp
 # ---------------------------------------------------------------------------
@@ -190,6 +225,32 @@ def test_grid_hp_argmax_on_sphere(rng):
     res = grid_hp(A, 4.0, steps=9, refine=3)
     if res.value > 0.0:
         assert lp_norm(res.argmax[0], 4.0) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_grid_hp_budget_counts_refine_points(monkeypatch, rng):
+    A = random_supersym(rng, 4, 3)
+    # steps 3 on n = 4: 80 surface points, plus 5^4 = 625 offsets per round
+    monkeypatch.setattr(oracle, "GRID_BUDGET", 80 + 625)
+    grid_hp(A, 3.0, steps=3, refine=1)
+    with pytest.raises(ResourceLimitError):
+        grid_hp(A, 3.0, steps=3, refine=2)
+
+
+def test_grid_hp_refine_blocks_share_one_center(rng):
+    # n = 7: the 5^7 offsets of a round run in several blocks, all around the
+    # grid winner; the reference takes them in one pass, first index winning
+    A = random_supersym(rng, 7, 3)
+    p, steps = 3.0, 2
+    x0 = grid_hp(A, p, steps).argmax[0]
+    offsets = np.array(list(itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=7)))
+    pts = x0 + 2.0 / (steps - 1) * offsets
+    pts = pts / np.sum(np.abs(pts) ** p, axis=1, keepdims=True) ** (1.0 / p)
+    vals = np.einsum("ijk,ti,tj,tk->t", A, pts, pts, pts)
+    k = int(np.argmax(vals))
+    assert vals[k] > eval_poly(as_tensor(A), x0)  # the round leaves the grid point
+    res = grid_hp(A, p, steps, refine=1)
+    assert res.value == pytest.approx(vals[k], rel=1e-12)
+    assert np.allclose(res.argmax[0], pts[k], rtol=0, atol=1e-12)
 
 
 def test_grid_hp_guards(rng):
@@ -299,12 +360,20 @@ ORACLE_CASES = {
     "exact-d5-gauss": lambda: exact_ml_linf(_gauss((2, 2, 2, 2, 3), 21)),
     "exact-d5-int": lambda: exact_ml_linf(_ints((2, 2, 3, 2, 2), 22, -1, 1)),
     "exact-d5-sign": lambda: exact_ml_linf(_signs((2, 2, 2, 2, 2), 23)),
+    "exact-d2-18x2": lambda: exact_ml_linf(_gauss((18, 2), 24)),  # 2^17 sign rows
 }
 for _i, (_p, _r) in enumerate(itertools.product((2.0, 3.0, 3.5, 4.0, INF), (0, 1, 6))):
     ORACLE_CASES[f"grid-ml-p{_p}-r{_r}-d2"] = (
         lambda p=_p, r=_r, s=30 + _i: grid_ml(_gauss((3, 3), s), p, steps=9, refine=r))
     ORACLE_CASES[f"grid-ml-p{_p}-r{_r}-d3"] = (
         lambda p=_p, r=_r, s=60 + _i: grid_ml(_gauss((2, 3, 2), s), p, steps=7, refine=r))
+# two inner slots; the benchmark's 3x3x3 scale; an inner slot of 66,152 rows,
+# past the size up to which an inner slot is built once, so it streams
+for _r in (0, 6):
+    ORACLE_CASES[f"grid-ml-r{_r}-d4"] = (
+        lambda r=_r: grid_ml(_gauss((2, 2, 2, 2), 91), 3.0, steps=7, refine=r))
+ORACLE_CASES["grid-ml-3x3x3-s17"] = lambda: grid_ml(_gauss((3, 3, 3), 92), 3.0, 17, 6)
+ORACLE_CASES["grid-ml-inner-streamed"] = lambda: grid_ml(_gauss((1, 3, 2), 93), 4.0, 106)
 ORACLE_CASES["grid-ml-int-ties"] = lambda: grid_ml(_ints((3, 2, 3), 90, -1, 1), 4.0, 5, 2)
 ORACLE_CASES["grid-ml-zero-slice"] = lambda: grid_ml(_single((2, 2, 3), (0, 1, 2), 1.0),
                                                      3.0, 5, 1)
@@ -336,6 +405,7 @@ def oracle_digest(res) -> str:
 
 
 PINNED_ORACLES = {
+    "exact-d2-18x2": "0d39af0631e7e911",
     "exact-d2-gauss": "1b8b8c288396c1c5",
     "exact-d2-int": "8cb68b34ff5356dd",
     "exact-d2-ones": "2305a561dcb40925",
@@ -364,6 +434,8 @@ PINNED_ORACLES = {
     "grid-hp-pinf-r0-d4": "fde7219addb26921",
     "grid-hp-pinf-r8-d3": "ce6665604ce2cde3",
     "grid-hp-pinf-r8-d4": "f9f96f626bd6f927",
+    "grid-ml-3x3x3-s17": "b9e7d0897dd1a5de",
+    "grid-ml-inner-streamed": "8ff512cea8a2b192",
     "grid-ml-int-ties": "1d3448954168f895",
     "grid-ml-p2.0-r0-d2": "1667af49e0b33366",
     "grid-ml-p2.0-r0-d3": "79e71bc53f88434a",
@@ -395,6 +467,8 @@ PINNED_ORACLES = {
     "grid-ml-pinf-r1-d3": "f7c01c7e93b83906",
     "grid-ml-pinf-r6-d2": "b7bb653efd5bf459",
     "grid-ml-pinf-r6-d3": "2728d4625bb1769a",
+    "grid-ml-r0-d4": "dc57dd49c37c10e8",
+    "grid-ml-r6-d4": "4fb914238f190be6",
     "grid-ml-zero-slice": "0098195e372a1c9f",
     "sym-cube-inf-check": "True",
     "sym-cube-inf-lhs": "6c62713f049beeae",

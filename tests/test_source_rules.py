@@ -14,3 +14,10 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_listed_products():
+    # enumerations run on the chunked oracle._mesh_rows, never a full list
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if "list(itertools.product(" in path.read_text(encoding="utf-8")]
+    assert found == []

@@ -6,6 +6,10 @@ mapped onto L_p spheres, or closed forms.  The last multilinear slot is never
 gridded -- for fixed partial contraction w the best remaining vector is the
 Holder dual, worth exactly ||w||_q -- which removes one exponential factor.
 
+Every enumerated slot but the last is bound-and-pruned (see _scan_ml): a
+row whose subtree cannot beat the k-th best offer is skipped, so the scan
+returns what a full scan returns, bit for bit.
+
 Grids are nested: the axis for `steps` is linspace(-1, 1, steps), so
 refining steps -> 2*steps - 1 keeps every old point and the scan maximum is
 exactly monotone.  An optional `refine` stage polishes the best grid points
@@ -31,6 +35,9 @@ from .validation import INF, check_p, conjugate_exponent
 GRID_BUDGET = 10 ** 8
 _SIGN_GATE = 24  # vertex enumeration allowed while sum(dims) <= 24
 _CHUNK = 1 << 16
+# A bound and the offers below its row sum the same products in different
+# orders; their rounding differs by far less than this share of the bound.
+_BOUND_SLACK = 1e-9
 
 
 class OracleMethod(str, enum.Enum):
@@ -158,6 +165,11 @@ class _TopK:
     def best(self):
         return self.items[0]
 
+    @property
+    def floor(self):
+        """The value an offer must beat once k items are held; -inf before."""
+        return self.items[-1][0] if len(self.items) == self.k else -math.inf
+
 
 def _row_norms(X, r):
     """L_r norm of each row of X, for r = inf, 1 or a power."""
@@ -209,11 +221,31 @@ def _slot_sources(slots):
     return sources
 
 
+def _row_bounds(block, arr, q):
+    """Upper bound on ||S_r||_{p->q} (p = q*) for each row r of block, S_r the
+    (first slot | rest) m x n flattening of arr contracted with r, built 8 MiB
+    at a time: the smaller of its entrywise q-norm (= the L_q norm of its row,
+    or of its column, q-norms) and ||S_r||_2 (mn)^(1/2-1/p), as q <= 2 <= p."""
+    flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
+    size = flat[0].size
+    step = max(1, _CHUNK * 16 // size)
+    out = np.empty(len(block))
+    for i in range(0, len(block), step):
+        S = np.tensordot(block[i:i + step], flat, axes=(1, 0))
+        top_eig = np.linalg.eigvalsh(S @ S.transpose(0, 2, 1))[:, -1]  # ||S_r||_2 ** 2
+        out[i:i + step] = np.minimum(_row_norms(S.reshape(len(S), -1), q),
+                                     np.sqrt(top_eig) * size ** (1.0 / q - 0.5))
+    return out
+
+
 def _scan_ml(arr, blocks, q, top, prefix):
     """Enumerate slots left to right, slot i over the row blocks that
     ``blocks[i]()`` yields, and offer each prefix with the L_q norm of the
     contraction it leaves; the last enumerated slot is vectorized per block.
-    Offers are strictly-greater, so ties keep the first row in scan order."""
+    Offers are strictly-greater, so ties keep the first row in scan order.
+    A row of an earlier slot is skipped when its _row_bounds bound, which
+    caps every offer below it, is strictly under the k-th best held (which
+    never falls): no offer from it could be accepted."""
     if arr.ndim == 2:
         for block in blocks[0]():
             vals = _row_norms(block @ arr, q)
@@ -222,7 +254,10 @@ def _scan_ml(arr, blocks, q, top, prefix):
             del block  # free it before a streamed source builds the next one
         return
     for block in blocks[0]():
-        for row in block:
+        bounds = _row_bounds(block, arr, q) * (1.0 + _BOUND_SLACK)
+        for row, bound in zip(block, bounds):
+            if bound < top.floor:
+                continue
             sub = np.tensordot(arr, row, axes=(0, 0))
             _scan_ml(sub, blocks[1:], q, top, prefix + (row.copy(),))
 

@@ -178,6 +178,119 @@ def test_grid_ml_builds_each_inner_slot_once(monkeypatch, dims, steps, calls):
 
 
 # ---------------------------------------------------------------------------
+# the pruning bound of the multilinear scans
+# ---------------------------------------------------------------------------
+
+def _matrix_bound(C, p):
+    # a one-row block on the stack C[None] makes S_r the matrix C itself
+    return oracle._row_bounds(np.ones((1, 1)), C[None], conjugate_exponent(p))[0]
+
+
+def _bound_corpus():
+    """(matrix, p): every shape 1..6 x 1..6 in each of seven kinds, p cycling."""
+    ps = (2.0, 3.0, 3.5, 4.0, INF)
+    kinds = (
+        lambda rng, m, n: rng.standard_normal((m, n)),
+        lambda rng, m, n: 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((m, n)),
+        lambda rng, m, n: np.outer(rng.standard_normal(m), rng.standard_normal(n)),
+        lambda rng, m, n: _single((m, n), (rng.integers(m), rng.integers(n)), -2.5),
+        lambda rng, m, n: np.zeros((m, n)),
+        lambda rng, m, n: rng.integers(-2, 3, size=(m, n)).astype(float),
+        lambda rng, m, n: rng.integers(-1, 2, size=(m, n)).astype(float),
+    )
+    rng = np.random.default_rng(98)
+    return [(kind(rng, m, n), ps[(m + n + k) % len(ps)])
+            for k, kind in enumerate(kinds) for m in range(1, 7) for n in range(1, 7)]
+
+
+def test_row_bound_is_above_the_oracle_value():
+    cases = _bound_corpus()
+    assert len(cases) >= 200
+    for C, p in cases:
+        # ||C||_{p->q} is transpose-invariant; the oracle grids the shorter side
+        short = C if C.shape[0] <= C.shape[1] else C.T
+        steps = {4: 17, 5: 9, 6: 7}.get(short.shape[0], 33)
+        res = oracle_ml(short, p, steps, refine=6)
+        if p == INF:
+            assert res.method is OracleMethod.VERTEX_ENUM  # the exact optimum
+        assert _matrix_bound(C, p) * (1.0 + oracle._BOUND_SLACK) >= res.value, (C, p)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 3.5, 4.0, INF])
+def test_row_bound_is_tight_on_rank_one(p):
+    q = conjugate_exponent(p)
+    rng = np.random.default_rng(99)
+    for m, n in itertools.product(range(1, 7), repeat=2):
+        u, v = rng.standard_normal(m), rng.standard_normal(n)
+        assert _matrix_bound(np.outer(u, v), p) == pytest.approx(
+            lp_norm(u, q) * lp_norm(v, q), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dims, seed, steps, refine, parent_calls", [
+    ((3, 3, 3), 92, 17, 6, 9240),
+    ((2, 2, 2, 2), 91, 9, 0, 4108),   # pruned on two levels
+])
+def test_pruning_skips_most_rows(monkeypatch, dims, seed, steps, refine, parent_calls):
+    # parent_calls: _row_norms calls of the same scan without pruning
+    calls = []
+    norms = oracle._row_norms
+
+    def counting(X, r):
+        calls.append(len(X))
+        return norms(X, r)
+
+    monkeypatch.setattr(oracle, "_row_norms", counting)
+    grid_ml(_gauss(dims, seed), 3.0, steps, refine)
+    assert len(calls) < parent_calls / 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: grid_ml(_gauss((3, 3, 3), 83), 2.0, 9, 6),  # p = 2: the spectral term is exact
+    lambda: grid_ml(_gauss((2, 3, 2, 2), 82), 4.0, 7, 6),
+    lambda: grid_ml(_gauss((2, 2, 2, 2, 2), 83), 3.5, 5, 3),
+    lambda: grid_ml(_ints((3, 3, 3), 83, -1, 1), INF, 9, 6),
+    lambda: grid_ml(_gauss((2, 1, 3), 83), 3.0, 3, 6),  # 16 offers: the top 6 fills late
+    # rank one, many rows of one value: bounds equal to the floor up to rounding
+    lambda: grid_ml(np.full((3, 2, 3), 0.1), 4.0, 9, 6),
+    lambda: exact_ml_linf(_gauss((2, 3, 2, 3), 86)),
+], ids=["gauss-d3-p2", "gauss-d4", "gauss-d5", "ints-pinf", "few-offers", "rank-one-ties",
+        "exact-d4"])
+def test_pruned_scan_keeps_the_full_scans_top_k(monkeypatch, call):
+    # every item the full scan keeps, in order, not only the winner: refine
+    # polishes all of them
+    tops = []
+
+    class Recording(oracle._TopK):
+        def __init__(self, k):
+            super().__init__(k)
+            tops.append(self)
+
+    monkeypatch.setattr(oracle, "_TopK", Recording)
+    call()
+    monkeypatch.setattr(oracle, "_row_bounds", lambda block, arr, q: np.full(len(block), np.inf))
+    call()
+    pruned, full = ([(v, [x.tobytes() for x in xs]) for v, xs in top.items] for top in tops)
+    assert pruned == full
+
+
+def test_row_bounds_memory_is_bounded():
+    # the whole stack of this block is 65,536 x 3 x 2,000 doubles (3 GB)
+    rng = np.random.default_rng(97)
+    block = rng.standard_normal((1 << 16, 3))
+    arr = rng.standard_normal((3, 3, 2000))
+    tracemalloc.start()
+    try:
+        bounds = oracle._row_bounds(block, arr, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    for i in (0, 12345, len(block) - 1):  # rows of the first, a middle and the last sub-block
+        S = np.tensordot(block[i], arr, axes=(0, 0))
+        assert bounds[i] == pytest.approx(_matrix_bound(S, INF), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # grid_hp
 # ---------------------------------------------------------------------------
 
@@ -377,6 +490,15 @@ ORACLE_CASES["grid-ml-inner-streamed"] = lambda: grid_ml(_gauss((1, 3, 2), 93), 
 ORACLE_CASES["grid-ml-int-ties"] = lambda: grid_ml(_ints((3, 2, 3), 90, -1, 1), 4.0, 5, 2)
 ORACLE_CASES["grid-ml-zero-slice"] = lambda: grid_ml(_single((2, 2, 3), (0, 1, 2), 1.0),
                                                      3.0, 5, 1)
+# pruned scans: a rank-one tensor whose optimum is a grid point, so the bound
+# of the winning row equals its value; pruning on three levels; many tied
+# block maxima at p = inf; a long last slot, so the bound stack of a 27-row
+# block is built in two sub-blocks
+ORACLE_CASES["grid-ml-rank-one-on-grid"] = lambda: grid_ml(
+    np.einsum("i,j,k->ijk", [1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, 2.0, -2.0]), 3.0, 9, 6)
+ORACLE_CASES["grid-ml-d5"] = lambda: grid_ml(_gauss((2, 2, 2, 2, 2), 94), 3.0, 5, 1)
+ORACLE_CASES["grid-ml-pinf-int-ties"] = lambda: grid_ml(_ints((3, 3, 3), 95, -1, 1), INF, 9, 6)
+ORACLE_CASES["grid-ml-long-last-slot"] = lambda: grid_ml(_gauss((4, 2, 20000), 96), 4.0, 3, 1)
 for _i, (_p, _r) in enumerate(itertools.product((3.0, 4.0, INF), (0, 8))):
     ORACLE_CASES[f"grid-hp-p{_p}-r{_r}-d3"] = (
         lambda p=_p, r=_r, s=100 + _i: grid_hp(_sym(3, 3, s), p, steps=9, refine=r))
@@ -435,8 +557,10 @@ PINNED_ORACLES = {
     "grid-hp-pinf-r8-d3": "ce6665604ce2cde3",
     "grid-hp-pinf-r8-d4": "f9f96f626bd6f927",
     "grid-ml-3x3x3-s17": "b9e7d0897dd1a5de",
+    "grid-ml-d5": "aac7bbc7a9bfa31b",
     "grid-ml-inner-streamed": "8ff512cea8a2b192",
     "grid-ml-int-ties": "1d3448954168f895",
+    "grid-ml-long-last-slot": "8b595286fa66c35a",
     "grid-ml-p2.0-r0-d2": "1667af49e0b33366",
     "grid-ml-p2.0-r0-d3": "79e71bc53f88434a",
     "grid-ml-p2.0-r1-d2": "9f9d0acd11cf9d70",
@@ -461,6 +585,7 @@ PINNED_ORACLES = {
     "grid-ml-p4.0-r1-d3": "71edd2e6d970bcab",
     "grid-ml-p4.0-r6-d2": "12b4dc68ed53c66a",
     "grid-ml-p4.0-r6-d3": "8ad43730231002d5",
+    "grid-ml-pinf-int-ties": "01f398fec3f27d81",
     "grid-ml-pinf-r0-d2": "9afb0b5cdf413c1e",
     "grid-ml-pinf-r0-d3": "9844b76181bdb914",
     "grid-ml-pinf-r1-d2": "52d5f93bf6e51b9b",
@@ -469,6 +594,7 @@ PINNED_ORACLES = {
     "grid-ml-pinf-r6-d3": "2728d4625bb1769a",
     "grid-ml-r0-d4": "dc57dd49c37c10e8",
     "grid-ml-r6-d4": "4fb914238f190be6",
+    "grid-ml-rank-one-on-grid": "35d03e45f8efeb6d",
     "grid-ml-zero-slice": "0098195e372a1c9f",
     "sym-cube-inf-check": "True",
     "sym-cube-inf-lhs": "6c62713f049beeae",

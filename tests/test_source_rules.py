@@ -21,3 +21,16 @@ def test_no_listed_products():
     found = [path.name for path in sorted(SRC.glob("*.py"))
              if "list(itertools.product(" in path.read_text(encoding="utf-8")]
     assert found == []
+
+
+def test_oracle_imports_no_solver():
+    # the oracles check the solvers' certificates, so they share no code with them
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts.update(part for alias in node.names for part in alias.name.split("."))
+    assert "holder_dual" in parts  # the walk sees the imports
+    assert parts.isdisjoint({"mlopt", "hpopt", "sampler", "estimators", "cli"})

@@ -36,8 +36,11 @@ GRID_BUDGET = 10 ** 8
 _SIGN_GATE = 24  # vertex enumeration allowed while sum(dims) <= 24
 _CHUNK = 1 << 16
 # A bound and the offers below its row sum the same products in different
-# orders; their rounding differs by far less than this share of the bound.
+# orders, so they round apart by at most about (terms summed) * 2^-53 times
+# the same sums of absolute values; _BOUND_SLACK covers that factor.  Where
+# a q-th power is subnormal the error is absolute, under _BOUND_TINY.
 _BOUND_SLACK = 1e-9
+_BOUND_TINY = 1e-150
 
 
 class OracleMethod(str, enum.Enum):
@@ -232,9 +235,15 @@ def _row_bounds(block, arr, q):
     out = np.empty(len(block))
     for i in range(0, len(block), step):
         S = np.tensordot(block[i:i + step], flat, axes=(1, 0))
-        top_eig = np.linalg.eigvalsh(S @ S.transpose(0, 2, 1))[:, -1]  # ||S_r||_2 ** 2
-        out[i:i + step] = np.minimum(_row_norms(S.reshape(len(S), -1), q),
-                                     np.sqrt(top_eig) * size ** (1.0 / q - 0.5))
+        # each S_r over its largest entry, so its Gram matrix neither under- nor overflows
+        scale = np.abs(S).max(axis=(1, 2))
+        if not np.isfinite(scale).all():  # an overflowed stack bounds nothing
+            out[i:i + step] = np.inf
+            continue
+        U = S / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+        top_eig = np.linalg.eigvalsh(U @ U.transpose(0, 2, 1))[:, -1]  # ||U_r||_2 ** 2
+        out[i:i + step] = scale * np.minimum(_row_norms(U.reshape(len(U), -1), q),
+                                             np.sqrt(top_eig) * size ** (1.0 / q - 0.5))
     return out
 
 
@@ -243,9 +252,9 @@ def _scan_ml(arr, blocks, q, top, prefix):
     ``blocks[i]()`` yields, and offer each prefix with the L_q norm of the
     contraction it leaves; the last enumerated slot is vectorized per block.
     Offers are strictly-greater, so ties keep the first row in scan order.
-    A row of an earlier slot is skipped when its _row_bounds bound, which
-    caps every offer below it, is strictly under the k-th best held (which
-    never falls): no offer from it could be accepted."""
+    A row of an earlier slot is skipped when its _row_bounds bound plus a
+    rounding allowance, which caps every offer computed below it, is strictly
+    under the k-th best held (which never falls): no such offer is accepted."""
     if arr.ndim == 2:
         for block in blocks[0]():
             vals = _row_norms(block @ arr, q)
@@ -253,8 +262,12 @@ def _scan_ml(arr, blocks, q, top, prefix):
             top.offer(float(vals[k]), prefix + (block[k].copy(),))
             del block  # free it before a streamed source builds the next one
         return
+    # the rounding allowance of each row r: _BOUND_SLACK * sum_i |r_i| ||arr_i||_q,
+    # entrywise norms; an overflowed norm makes it inf, or nan where r_i = 0
+    slack = _row_norms(arr.reshape(len(arr), -1), q) * _BOUND_SLACK
     for block in blocks[0]():
-        bounds = _row_bounds(block, arr, q) * (1.0 + _BOUND_SLACK)
+        with np.errstate(invalid="ignore"):  # a nan bound compares below nothing
+            bounds = _row_bounds(block, arr, q) + np.abs(block) @ slack + _BOUND_TINY
         for row, bound in zip(block, bounds):
             if bound < top.floor:
                 continue

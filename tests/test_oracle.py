@@ -187,7 +187,9 @@ def _matrix_bound(C, p):
 
 
 def _bound_corpus():
-    """(matrix, p): every shape 1..6 x 1..6 in each of seven kinds, p cycling."""
+    """(matrix, scale, p): every shape 1..6 x 1..6 in each of nine kinds, p
+    cycling; the last two are Gaussian matrices to be scaled by 1e-170 (their
+    squares underflow) and by 1e160 (their squares overflow)."""
     ps = (2.0, 3.0, 3.5, 4.0, INF)
     kinds = (
         lambda rng, m, n: rng.standard_normal((m, n)),
@@ -198,32 +200,37 @@ def _bound_corpus():
         lambda rng, m, n: rng.integers(-2, 3, size=(m, n)).astype(float),
         lambda rng, m, n: rng.integers(-1, 2, size=(m, n)).astype(float),
     )
+    scaled = [(kind, 1.0) for kind in kinds] + [(kinds[0], 1e-170), (kinds[0], 1e160)]
     rng = np.random.default_rng(98)
-    return [(kind(rng, m, n), ps[(m + n + k) % len(ps)])
-            for k, kind in enumerate(kinds) for m in range(1, 7) for n in range(1, 7)]
+    return [(kind(rng, m, n), scale, ps[(m + n + k) % len(ps)])
+            for k, (kind, scale) in enumerate(scaled) for m in range(1, 7) for n in range(1, 7)]
 
 
 def test_row_bound_is_above_the_oracle_value():
     cases = _bound_corpus()
     assert len(cases) >= 200
-    for C, p in cases:
+    for C, scale, p in cases:
         # ||C||_{p->q} is transpose-invariant; the oracle grids the shorter side
         short = C if C.shape[0] <= C.shape[1] else C.T
         steps = {4: 17, 5: 9, 6: 7}.get(short.shape[0], 33)
+        # the norm is homogeneous: the oracle runs on the unscaled matrix, so
+        # its own arithmetic stays in range
         res = oracle_ml(short, p, steps, refine=6)
         if p == INF:
             assert res.method is OracleMethod.VERTEX_ENUM  # the exact optimum
-        assert _matrix_bound(C, p) * (1.0 + oracle._BOUND_SLACK) >= res.value, (C, p)
+        bound = _matrix_bound(scale * C, p)
+        assert bound * (1.0 + oracle._BOUND_SLACK) >= scale * res.value, (C, scale, p)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160])
 @pytest.mark.parametrize("p", [2.0, 3.0, 3.5, 4.0, INF])
-def test_row_bound_is_tight_on_rank_one(p):
+def test_row_bound_is_tight_on_rank_one(p, scale):
     q = conjugate_exponent(p)
     rng = np.random.default_rng(99)
     for m, n in itertools.product(range(1, 7), repeat=2):
         u, v = rng.standard_normal(m), rng.standard_normal(n)
-        assert _matrix_bound(np.outer(u, v), p) == pytest.approx(
-            lp_norm(u, q) * lp_norm(v, q), rel=1e-12, abs=0.0)
+        assert _matrix_bound(scale * np.outer(u, v), p) == pytest.approx(
+            scale * lp_norm(u, q) * lp_norm(v, q), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("dims, seed, steps, refine, parent_calls", [
@@ -253,8 +260,20 @@ def test_pruning_skips_most_rows(monkeypatch, dims, seed, steps, refine, parent_
     # rank one, many rows of one value: bounds equal to the floor up to rounding
     lambda: grid_ml(np.full((3, 2, 3), 0.1), 4.0, 9, 6),
     lambda: exact_ml_linf(_gauss((2, 3, 2, 3), 86)),
+    # squares of the entries underflow (or are subnormal) and overflow
+    lambda: grid_ml(1e-170 * _gauss((3, 3, 3), 0), 3.0, 9, 3),
+    lambda: grid_ml(1e-170 * _gauss((3, 3, 3), 0), INF, 9, 3),
+    lambda: grid_ml(1e-160 * _gauss((2, 3, 2, 2), 1), 2.0, 7, 3),
+    lambda: exact_ml_linf(1e-170 * _gauss((3, 3, 3), 0)),
+    lambda: grid_ml(1e160 * _gauss((3, 3, 3), 0), 3.0, 9, 3),
+    lambda: grid_ml(1e160 * _gauss((3, 3, 3), 0), 2.0, 9, 3),
+    lambda: exact_ml_linf(1e160 * _gauss((2, 3, 2, 3), 2)),
+    # the bound stack itself overflows
+    lambda: grid_ml(5e307 * _gauss((3, 3, 3), 0), 3.0, 9, 3),
+    lambda: exact_ml_linf(5e307 * _gauss((3, 3, 3), 0)),
 ], ids=["gauss-d3-p2", "gauss-d4", "gauss-d5", "ints-pinf", "few-offers", "rank-one-ties",
-        "exact-d4"])
+        "exact-d4", "tiny-p3", "tiny-pinf", "subnormal-d4-p2", "tiny-exact", "huge-p3",
+        "huge-p2", "huge-exact-d4", "overflow-p3", "overflow-exact"])
 def test_pruned_scan_keeps_the_full_scans_top_k(monkeypatch, call):
     # every item the full scan keeps, in order, not only the winner: refine
     # polishes all of them

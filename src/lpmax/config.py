@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-DENSE_CAP = 10_000_000  # default dense_cap of Tensor, tensor_from_doc and symmetrize
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -7,11 +7,26 @@ normalized p-Gaussians for finite p), contract each into the first slot, and
 recurse on the resulting order-(d-1) tensor, keeping the candidate whose
 recursive solution scores best.  The per-candidate RNG streams are derived
 from (seed, path, index), so enlarging M never changes earlier candidates
-and the best value is monotone in M.  On a level whose candidates contract
-to matrices, the distinct matrices not yet solved go to one stacked
-relaxation solve (:func:`lpmax.pqnorm.solve_vecp_stack`); candidates that
-contract to the same matrix reuse that solve within a ``solve_ml`` call, and
-each is still rounded on its own stream.
+and the best value is monotone in M.
+
+Each level is bound-and-pruned.  Every candidate gets an upper bound on all
+it can score: where the candidates contract to matrices C, the
+:func:`lpmax.tensor.matrix_bounds` bound on ||C||_{p->q}, tightened by
+_DUAL_STEPS steps on the relaxation's dual, plus a rounding allowance; it
+caps both the rounded value and the value of every feasible point of C's
+relaxation.  On deeper levels the bound is inf.  The dual steps bring the
+bound to within about 1 % of the relaxation value, so the first stack of
+solves holds nearly every candidate that can win, and a level's cost does
+not swing with how loose its bounds happen to be.  Candidates are
+visited in descending-bound order, ties by index, and the level stops at the
+first bound strictly below both the best rounded value and the best
+relaxation value found so far.  No skipped candidate could win, tie the
+winner or raise relax_value, so xs, value and relax_value are those of a
+level that solves every candidate.  The distinct matrices not yet solved go
+to stacked relaxation solves (:func:`lpmax.pqnorm.solve_vecp_stack`), _STACK
+at a time in visiting order; candidates that contract to the same matrix
+reuse that solve within a ``solve_ml`` call, and each is still rounded on
+its own stream.
 """
 from __future__ import annotations
 
@@ -24,10 +39,12 @@ from .errors import DegenerateInputError, ShapeError
 from .pqnorm import round_gram, solve_vecp, solve_vecp_stack
 from .sampler import (MASK64, STREAM_TRIALS, derive_rng, sample_count, sample_pgauss,
                       sample_rademacher)
-from .tensor import Tensor, as_tensor, eval_multilinear
-from .validation import INF, check_p
+from .tensor import Tensor, as_tensor, eval_multilinear, matrix_bounds, rounding_allowance
+from .validation import INF, check_p, conjugate_exponent
 
 _STREAM_CANDIDATE = 0x52
+_STACK = 16  # distinct matrices per stacked relaxation solve of a candidate level
+_DUAL_STEPS = 20  # dual steps that tighten each candidate's bound (tensor.matrix_bounds)
 
 
 @dataclass(frozen=True)
@@ -53,8 +70,10 @@ class MlCertificate:
     """Feasible vectors for all d slots plus the value they achieve.
 
     relax_value is the relaxation-side bound reached in the recursion (the
-    best d = 2 relaxation value over sampled candidates); value is always
-    recomputed from xs, and nonnegative by sign normalization.
+    best d = 2 relaxation value over sampled candidates).  A pruned candidate
+    never counts towards it, and never needs to: its bound, which caps its
+    relaxation value, was below the best relaxation value already found.
+    value is always recomputed from xs, and nonnegative by sign normalization.
     """
 
     xs: tuple
@@ -75,19 +94,20 @@ def _key(arr: np.ndarray):
     return arr.shape, arr.tobytes()
 
 
-def _solve_distinct(subs, p: float, cfg: SolverConfig, memo: dict) -> None:
-    """Solve the distinct nonzero matrices in ``subs`` missing from ``memo`` as
-    one stack, and keep the converged solutions."""
+def _solve_next(subs, p: float, cfg: SolverConfig, memo: dict) -> None:
+    """Solve the first _STACK distinct nonzero matrices of ``subs`` missing
+    from ``memo`` as one stack; keep each solution, or None where it did not
+    converge."""
     todo = {}
     for sub in subs:
         key = _key(sub)
         if sub.any() and key not in memo:
             todo.setdefault(key, sub)
-    if todo:
-        solved = solve_vecp_stack(np.stack(list(todo.values())), p, cfg.tol, cfg.max_iter)
-        for key, (g, converged) in zip(todo, solved):
-            if converged:
-                memo[key] = g
+            if len(todo) == _STACK:
+                break
+    solved = solve_vecp_stack(np.stack(list(todo.values())), p, cfg.tol, cfg.max_iter)
+    for key, (g, converged) in zip(todo, solved):
+        memo[key] = g if converged else None
 
 
 def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
@@ -95,10 +115,23 @@ def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
     key = _key(arr)
     g = memo.get(key)
     if g is None:
-        # a miss after _solve_distinct re-solves, so non-convergence raises here
+        # never stacked (a d = 2 instance), or not converged in its stack: solved
+        # alone, which raises on non-convergence
         g = memo[key] = solve_vecp(arr, p, cfg.tol, cfg.max_iter)
     pair = round_gram(arr, g, p, cfg.strategy, cfg.trials, rng)
     return [pair.y, pair.z], pair.value, g.value
+
+
+def _bounds(arr: np.ndarray, xis: list, subs: list, p: float) -> np.ndarray:
+    """Upper bound, rounding allowance included, on every value and relaxation
+    value a candidate can reach: tensor.matrix_bounds where the candidates
+    contract to matrices, inf otherwise; a nan bound is inf."""
+    if arr.ndim != 3:
+        return np.full(len(xis), np.inf)
+    q = conjugate_exponent(p)
+    bounds = (matrix_bounds(np.stack(subs), q, _DUAL_STEPS)
+              + rounding_allowance(arr, np.stack(xis), q))
+    return np.where(np.isnan(bounds), np.inf, bounds)
 
 
 def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tuple,
@@ -108,29 +141,28 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
         return _solve_d2(arr, p, cfg, derive_rng(root, *path, STREAM_TRIALS), memo)
     n1 = arr.shape[0]
     M = sample_count(n1, p, amplified=True, max_samples=cfg.max_samples)
-
-    def candidate(i: int):
-        xi = _candidate_vector(n1, p, derive_rng(root, *path, _STREAM_CANDIDATE, i))
-        return xi, np.tensordot(arr, xi, axes=(0, 0))
-
-    def run(i: int, xi, sub):
+    xis = [_candidate_vector(n1, p, derive_rng(root, *path, _STREAM_CANDIDATE, i))
+           for i in range(M)]
+    subs = [np.tensordot(arr, xi, axes=(0, 0)) for xi in xis]
+    bounds = _bounds(arr, xis, subs, p)
+    order = sorted(range(M), key=lambda i: (-bounds[i], i))
+    best, best_value, relax_value = None, -np.inf, -np.inf
+    for k, i in enumerate(order):
+        floor = min(best_value, relax_value)
+        if bounds[i] < floor:
+            break  # no candidate from here on can win, tie or raise relax_value
+        sub = subs[i]
         if not sub.any():
             # valid zero-scoring candidate: fill remaining slots with basis vectors
-            fillers = [np.eye(n)[0] for n in sub.shape]
-            return xi, fillers, 0.0, 0.0
-        xs, value, relax = _solve_rec(sub, p, cfg, root, path + (i,), memo)
-        return xi, xs, value, relax
-
-    cands = map(candidate, range(M))
-    if d == 3:
-        cands = list(cands)
-        _solve_distinct([sub for _, sub in cands], p, cfg, memo)
-    results = [run(i, xi, sub) for i, (xi, sub) in enumerate(cands)]
-
-    best = max(range(M), key=lambda i: results[i][2])  # ties -> first index
-    relax_value = max(r[3] for r in results)
-    xi, sub_xs, _, _ = results[best]
-    xs = [xi] + list(sub_xs)
+            xs, value, relax = [np.eye(n)[0] for n in sub.shape], 0.0, 0.0
+        else:
+            if sub.ndim == 2 and _key(sub) not in memo:
+                _solve_next((subs[j] for j in order[k:] if bounds[j] >= floor), p, cfg, memo)
+            xs, value, relax = _solve_rec(sub, p, cfg, root, path + (i,), memo)
+        relax_value = max(relax_value, relax)
+        if value > best_value or (value == best_value and i < best):  # ties -> first index
+            best, best_value, best_xs = i, value, xs
+    xs = [xis[best]] + list(best_xs)
     return xs, eval_multilinear(arr, xs), relax_value
 
 

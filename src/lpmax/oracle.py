@@ -29,18 +29,14 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, ShapeError
 from .pqnorm import holder_dual
 from .symmetry import symmetrize
-from .tensor import SYM_TOL, as_tensor, contract_all, eval_multilinear, is_supersymmetric
+from .tensor import (SYM_TOL, as_tensor, contract_all, eval_multilinear, is_supersymmetric,
+                     matrix_bounds, rounding_allowance, row_norms)
 from .validation import INF, check_p, conjugate_exponent
 
 GRID_BUDGET = 10 ** 8
 _SIGN_GATE = 24  # vertex enumeration allowed while sum(dims) <= 24
 _CHUNK = 1 << 16
-# A bound and the offers below its row sum the same products in different
-# orders, so they round apart by at most about (terms summed) * 2^-53 times
-# the same sums of absolute values; _BOUND_SLACK covers that factor.  Where
-# a q-th power is subnormal the error is absolute, under _BOUND_TINY.
-_BOUND_SLACK = 1e-9
-_BOUND_TINY = 1e-150
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 class OracleMethod(str, enum.Enum):
@@ -138,7 +134,7 @@ def _sphere_chunks(n, steps, p):
             axes = [inner] * k + [np.array([sgn])] + [full] * (n - 1 - k)
             for block in _mesh_rows(axes):
                 if p != INF:  # rows of the cube surface already have sup-norm 1
-                    block = block / _row_norms(block, p)[:, None]
+                    block = block / row_norms(block, p)[:, None]
                 yield block
 
 
@@ -174,15 +170,6 @@ class _TopK:
         return self.items[-1][0] if len(self.items) == self.k else -math.inf
 
 
-def _row_norms(X, r):
-    """L_r norm of each row of X, for r = inf, 1 or a power."""
-    if r == INF:
-        return np.max(np.abs(X), axis=1)
-    if r == 1.0:
-        return np.abs(X).sum(axis=1)
-    return np.sum(np.abs(X) ** r, axis=1) ** (1.0 / r)
-
-
 def _dual_vec(w, q):
     """Feasible maximizer of <w, x> over the L_p ball, total on q in [1, 2].
 
@@ -195,7 +182,12 @@ def _dual_vec(w, q):
         out[0] = 1.0
         return out
     if q == 2.0:
-        return w / math.sqrt(float(w @ w))
+        with np.errstate(over="ignore"):
+            ss = float(w @ w)
+        if not _TINY <= ss < math.inf:  # under- or overflowed: take the norm of w / max|w|
+            w = w / np.abs(w).max()
+            ss = float(w @ w)
+        return w / math.sqrt(ss)
     return holder_dual(w, q)
 
 
@@ -226,24 +218,14 @@ def _slot_sources(slots):
 
 def _row_bounds(block, arr, q):
     """Upper bound on ||S_r||_{p->q} (p = q*) for each row r of block, S_r the
-    (first slot | rest) m x n flattening of arr contracted with r, built 8 MiB
-    at a time: the smaller of its entrywise q-norm (= the L_q norm of its row,
-    or of its column, q-norms) and ||S_r||_2 (mn)^(1/2-1/p), as q <= 2 <= p."""
+    (first slot | rest) flattening of arr contracted with r: the
+    tensor.matrix_bounds of the stack of S_r, built 8 MiB at a time."""
     flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
-    size = flat[0].size
-    step = max(1, _CHUNK * 16 // size)
+    step = max(1, _CHUNK * 16 // flat[0].size)
     out = np.empty(len(block))
     for i in range(0, len(block), step):
         S = np.tensordot(block[i:i + step], flat, axes=(1, 0))
-        # each S_r over its largest entry, so its Gram matrix neither under- nor overflows
-        scale = np.abs(S).max(axis=(1, 2))
-        if not np.isfinite(scale).all():  # an overflowed stack bounds nothing
-            out[i:i + step] = np.inf
-            continue
-        U = S / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-        top_eig = np.linalg.eigvalsh(U @ U.transpose(0, 2, 1))[:, -1]  # ||U_r||_2 ** 2
-        out[i:i + step] = scale * np.minimum(_row_norms(U.reshape(len(U), -1), q),
-                                             np.sqrt(top_eig) * size ** (1.0 / q - 0.5))
+        out[i:i + step] = matrix_bounds(S, q)
     return out
 
 
@@ -257,17 +239,14 @@ def _scan_ml(arr, blocks, q, top, prefix):
     under the k-th best held (which never falls): no such offer is accepted."""
     if arr.ndim == 2:
         for block in blocks[0]():
-            vals = _row_norms(block @ arr, q)
+            vals = row_norms(block @ arr, q)
             k = int(np.argmax(vals))
             top.offer(float(vals[k]), prefix + (block[k].copy(),))
             del block  # free it before a streamed source builds the next one
         return
-    # the rounding allowance of each row r: _BOUND_SLACK * sum_i |r_i| ||arr_i||_q,
-    # entrywise norms; an overflowed norm makes it inf, or nan where r_i = 0
-    slack = _row_norms(arr.reshape(len(arr), -1), q) * _BOUND_SLACK
     for block in blocks[0]():
-        with np.errstate(invalid="ignore"):  # a nan bound compares below nothing
-            bounds = _row_bounds(block, arr, q) + np.abs(block) @ slack + _BOUND_TINY
+        # a nan bound (an overflowed allowance) compares below nothing
+        bounds = _row_bounds(block, arr, q) + rounding_allowance(arr, block, q)
         for row, bound in zip(block, bounds):
             if bound < top.floor:
                 continue
@@ -386,7 +365,7 @@ def grid_hp(A, p, steps, refine=0) -> OracleResult:
         center = best_x  # every block of a round offsets the same point
         for offsets in _mesh_rows([np.array([-1.0, -0.5, 0.0, 0.5, 1.0])] * n):
             pts = center[None, :] + h * offsets
-            scale = _row_norms(pts, p)
+            scale = row_norms(pts, p)
             keep = scale > 0.0
             pts = pts[keep] / scale[keep][:, None]
             vals = _poly_rows(arr, pts)

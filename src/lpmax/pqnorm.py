@@ -39,6 +39,7 @@ KG_BOUND = math.pi / (2.0 * KRIVINE_C)  # < 1.783
 # stacks are solved in chunks, which bounds the solver's working memory at
 # about twenty such arrays whatever k and N are
 _STACK_ELEMS = 1 << 13
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a smaller norm has subnormal squares
 
 
 @dataclass(frozen=True)
@@ -384,7 +385,14 @@ def _solve_chunk(B: np.ndarray, pf: float, tol: float, max_iter: int):
     """
     k, m, n = B.shape
     N = m + n
-    scale = np.array([np.linalg.norm(b) for b in B])
+    with np.errstate(over="ignore"):
+        scale = _fro(B)
+    # where the plain sum of squares under- or overflows, take the norm of B / max|B|
+    # instead; every other matrix keeps the plain norm, and with it its bits
+    bad = ~((scale > _SQRT_TINY) & (scale < INF))
+    if bad.any():
+        top = np.abs(B[bad]).max(axis=(1, 2))
+        scale[bad] = top * _fro(B[bad] / top[:, None, None])
     Bh = B / scale[:, None, None]
     Bt = np.zeros((k, N, N))
     Bt[:, :m, m:] = 0.5 * Bh

@@ -10,16 +10,24 @@ partial contraction, and the super-symmetry test.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import DENSE_CAP
 from .errors import DomainError, ResourceLimitError, ShapeError
-from .validation import as_vector
+from .validation import INF, as_vector
 
+DENSE_CAP = 10_000_000  # default dense_cap of Tensor, tensor_from_doc and symmetrize
 SYM_TOL = 1e-9  # asymmetry polynomial inputs may carry, relative to 1 + max|a|
+# A bound of matrix_bounds and a value computed under it sum the same products
+# in different orders, so they round apart by at most about (terms summed) *
+# 2^-53 times the same sums of absolute values; _BOUND_SLACK covers that
+# factor.  Where a q-th power is subnormal the error is absolute, under
+# _BOUND_TINY.
+_BOUND_SLACK = 1e-9
+_BOUND_TINY = 1e-150
 
 
 class Tensor:
@@ -159,6 +167,84 @@ def is_supersymmetric(A, tol: float = 1e-12) -> bool:
         if np.max(np.abs(arr - np.swapaxes(arr, i, i + 1))) > bound:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# cheap upper bounds on ||C||_{p->q}, shared by the oracle scans and the solver
+# ---------------------------------------------------------------------------
+
+def row_norms(X: np.ndarray, r: float) -> np.ndarray:
+    """L_r norm of each row of X, for r = inf, 1 or a power."""
+    if r == INF:
+        return np.max(np.abs(X), axis=1)
+    if r == 1.0:
+        return np.abs(X).sum(axis=1)
+    return np.sum(np.abs(X) ** r, axis=1) ** (1.0 / r)
+
+
+def matrix_bounds(C: np.ndarray, q: float, steps: int = 0) -> np.ndarray:
+    """Upper bound on ||C_k||_{p->q} (p = q*, q in [1, 2]) for each matrix of a
+    (k, m, n) stack: the smaller of its entrywise q-norm and
+    ||C_k||_2 (mn)^(1/2-1/p).  Both also cap the value
+    sum_ij C_ij l_i l'_j <u_i, v_j> of every point of the Gram relaxation
+    (unit u_i, v_j; ||l||_p, ||l'||_p <= 1), as q <= 2 <= p.  For q < 2,
+    ``steps`` > 0 also tightens the spectral term by that many subgradient
+    steps of the relaxation's dual (see _dual_descent).  A stack with an
+    overflowed entry bounds nothing: every bound is inf."""
+    k, m, n = C.shape
+    # each C_k over its largest entry, so its Gram matrix neither under- nor overflows
+    scale = np.abs(C).max(axis=(1, 2))
+    if not np.isfinite(scale).all():
+        return np.full(k, np.inf)
+    U = C / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    gram = U @ U.transpose(0, 2, 1) if m <= n else U.transpose(0, 2, 1) @ U
+    top_eig = np.linalg.eigvalsh(gram)[:, -1]  # ||U_k||_2 ** 2
+    bound = np.minimum(row_norms(U.reshape(k, -1), q),
+                       np.sqrt(top_eig) * (m * n) ** (1.0 / q - 0.5))
+    if steps > 0 and q < 2.0:
+        bound = np.minimum(bound, _dual_descent(U, q / (2.0 - q), steps))  # r = p/(p-2)
+    return scale * bound
+
+
+def _dual_descent(U: np.ndarray, r: float, steps: int) -> np.ndarray:
+    """Least of ``steps`` dual bounds on the relaxation optimum of each U_k.
+
+    For any positive a, b, every point X of the relaxation of U (Gram blocks
+    X_11, X_22, X_12 with ||diag X_11||_{p/2}, ||diag X_22||_{p/2} <= 1) has
+    <U, X_12> <= ||D_a^-1/2 U D_b^-1/2||_2 (||a||_r ||b||_r)^(1/2), r = p/(p-2);
+    a = b = 1 is the spectral term of matrix_bounds, and the least over a, b is
+    the relaxation optimum.  Subgradient steps on (log a, log b), each
+    normalized to largest entry 1 and floored at e^-50, approach it."""
+    k, m, n = U.shape
+    if m > n:  # the eigenproblem below is on the smaller side
+        return _dual_descent(U.transpose(0, 2, 1), r, steps)
+    la, lb = np.zeros((k, m)), np.zeros((k, n))
+    best = np.full(k, np.inf)
+    for t in range(steps):
+        a_r, b_r = np.exp(r * la), np.exp(r * lb)
+        K = U * np.exp(-0.5 * la)[:, :, None] * np.exp(-0.5 * lb)[:, None, :]
+        w, V = np.linalg.eigh(K @ K.transpose(0, 2, 1))
+        top = np.maximum(w[:, -1], 0.0)  # ||K||_2 ** 2
+        sa, sb = a_r.sum(axis=1), b_r.sum(axis=1)
+        best = np.minimum(best, np.sqrt(top * (sa * sb) ** (1.0 / r)))
+        u = V[:, :, -1]
+        v2 = np.einsum("kij,ki->kj", K, u) ** 2 / np.where(top > 0.0, top, 1.0)[:, None]
+        eta = 1.0 / math.sqrt(t + 1.0)
+        la = la - eta * (a_r / sa[:, None] - u ** 2)
+        lb = lb - eta * (b_r / sb[:, None] - v2)
+        la = np.maximum(la - la.max(axis=1, keepdims=True), -50.0)
+        lb = np.maximum(lb - lb.max(axis=1, keepdims=True), -50.0)
+    return best
+
+
+def rounding_allowance(arr: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:
+    """How far a value computed on arr contracted in its first slot with a row
+    r of X may round above its matrix_bounds bound: _BOUND_SLACK *
+    sum_i |r_i| ||arr_i||_q (entrywise norms of the slices) + _BOUND_TINY.
+    An overflowed slice norm makes it inf, or nan where r_i = 0."""
+    slack = row_norms(arr.reshape(len(arr), -1), q) * _BOUND_SLACK
+    with np.errstate(invalid="ignore"):
+        return np.abs(X) @ slack + _BOUND_TINY
 
 
 # ---------------------------------------------------------------------------

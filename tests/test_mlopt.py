@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from lpmax.config import SolverConfig
 from lpmax.errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from lpmax.hpopt import HpInstance, solve_hp
 from lpmax.mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
-from lpmax.pqnorm import KG_BOUND, pq_norm_lb, solve_vecp_stack
-from lpmax.sampler import sample_count
-from lpmax.tensor import eval_multilinear
-from lpmax.validation import INF, lp_norm
+from lpmax.pqnorm import KG_BOUND, pq_norm_lb, round_gram, solve_vecp_stack
+from lpmax.sampler import derive_rng, sample_count
+from lpmax.tensor import eval_multilinear, matrix_bounds, rounding_allowance
+from lpmax.validation import INF, conjugate_exponent, lp_norm
 
 from conftest import random_supersym
 
@@ -152,6 +153,114 @@ def test_convergence_error_propagates_and_is_not_kept(rng, monkeypatch):
     again = solve_ml(inst)
     assert again.value == expected.value
     assert all(np.array_equal(x, y) for x, y in zip(again.xs, expected.xs))
+
+
+# ---------------------------------------------------------------------------
+# bound-and-prune candidate levels
+# ---------------------------------------------------------------------------
+
+_SCALES = (1.0, 1e-170, 1e160)
+
+
+def _kind_tensor(kind, dims, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "rank-one":
+        A = rng.standard_normal(dims[0])
+        for n in dims[1:]:
+            A = np.multiply.outer(A, rng.standard_normal(n))
+        return A
+    A = rng.standard_normal(dims)
+    if kind == "zero-slice":  # some sign candidates contract to the zero matrix
+        A[1] = A[0]
+        A[2:] = 0.0
+        A[:, 0] = 0.0
+    return A
+
+
+# every (kind, scale) pair once; p cycles through {3, 7/2, 4, inf} at d = 3, then at d = 4
+_PRUNE_CASES = [(kind, scale, 3 + k // 4 % 2, (3.0, 3.5, 4.0, INF)[k % 4])
+                for k, (kind, scale) in enumerate(itertools.product(
+                    ("gauss", "rank-one", "zero-slice"), _SCALES))]
+
+
+@pytest.mark.parametrize("kind,scale,d,p", _PRUNE_CASES)
+def test_pruned_levels_equal_unpruned_levels(monkeypatch, kind, scale, d, p):
+    dims = (4, 3, 3) if d == 3 else (3, 2, 2, 3)
+    samples = {3.0: 8, 3.5: 6}.get(p, 24) // (d - 2)  # p = 3 and 7/2 solve slowly
+    A = scale * _kind_tensor(kind, dims, 311 + d)
+    inst = MlInstance(A, p, SolverConfig(seed=d, trials=24, max_samples=samples))
+    pruned = solve_ml(inst)
+    # every bound +inf: each level solves every candidate, in index order
+    monkeypatch.setattr(mlopt, "_bounds", lambda arr, xis, subs, p: np.full(len(xis), np.inf))
+    full = solve_ml(inst)
+    assert [x.tobytes() for x in pruned.xs] == [x.tobytes() for x in full.xs]
+    assert pruned.value == full.value
+    assert pruned.relax_value == full.relax_value
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+def test_matrix_bound_caps_relaxation_and_rounding(scale):
+    # the bound a candidate level prunes by, on C = the contraction of C[None] with [1];
+    # a row of a stacked solve is the solo solve_vecp
+    rng = np.random.default_rng(312)
+    ps = (3.0, 3.5, 4.0, INF)
+    for k, (m, n) in enumerate(itertools.product(range(1, 4), range(1, 5))):
+        p, q = ps[k % 4], conjugate_exponent(ps[k % 4])
+        Cs = scale * np.stack([rng.standard_normal((m, n)),
+                               np.outer(rng.standard_normal(m), rng.standard_normal(n)),
+                               rng.integers(-2, 3, size=(m, n)) + 0.5])
+        allowance = np.concatenate(
+            [rounding_allowance(C[None], np.ones((1, 1)), q) for C in Cs])
+        loose = matrix_bounds(Cs, q) + allowance
+        tight = matrix_bounds(Cs, q, mlopt._DUAL_STEPS) + allowance
+        assert (tight <= loose).all()
+        for C, bound, (g, _) in zip(Cs, tight, solve_vecp_stack(Cs, p)):
+            pair = round_gram(C, g, p, trials=32, rng=derive_rng(k))
+            assert bound >= g.value and bound >= pair.value, (C, p)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, INF])
+def test_dual_steps_bring_the_bound_near_the_relaxation(p):
+    # matrices shaped like the candidate contractions of the multilinear benchmark
+    q = conjugate_exponent(p)
+    Cs = np.random.default_rng(313).standard_normal((24, 5, 3))
+    relax = np.array([g.value for g, _ in solve_vecp_stack(Cs, p)])
+    loose = matrix_bounds(Cs, q) / relax
+    tight = matrix_bounds(Cs, q, mlopt._DUAL_STEPS) / relax
+    assert np.median(loose) > 1.05
+    assert np.median(tight) < 1.01 and tight.max() < 1.05
+
+
+def test_pruning_solves_few_candidate_relaxations(monkeypatch):
+    # solving every candidate of this level takes 207 relaxations
+    rows = []
+
+    def counting(Bs, *args, **kwargs):
+        rows.append(len(Bs))
+        return solve_vecp_stack(Bs, *args, **kwargs)
+
+    monkeypatch.setattr(mlopt, "solve_vecp_stack", counting)
+    A = np.random.default_rng(1).standard_normal((4, 5, 3))
+    cert = solve_ml(MlInstance(A, 4.0, SolverConfig(seed=1)))
+    assert cert.trials_used == 207
+    assert max(rows) <= mlopt._STACK
+    assert sum(rows) <= 48
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_p4_candidate_level_solves_one_stack(monkeypatch, seed):
+    # with bounds this tight the first stack holds every candidate that can
+    # win, so a level's cost does not swing with how loose its bounds are
+    rows = []
+
+    def counting(Bs, *args, **kwargs):
+        rows.append(len(Bs))
+        return solve_vecp_stack(Bs, *args, **kwargs)
+
+    monkeypatch.setattr(mlopt, "solve_vecp_stack", counting)
+    A = np.random.default_rng(320 + seed).standard_normal((4, 5, 3))
+    solve_ml(MlInstance(A, 4.0, SolverConfig(seed=seed)))
+    assert rows == [mlopt._STACK]
 
 
 def _digests(xs):

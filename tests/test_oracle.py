@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpmax import oracle
+from lpmax import oracle, tensor
 from lpmax.errors import DomainError, ResourceLimitError, ShapeError
 from lpmax.oracle import (
     OracleMethod,
@@ -219,7 +219,7 @@ def test_row_bound_is_above_the_oracle_value():
         if p == INF:
             assert res.method is OracleMethod.VERTEX_ENUM  # the exact optimum
         bound = _matrix_bound(scale * C, p)
-        assert bound * (1.0 + oracle._BOUND_SLACK) >= scale * res.value, (C, scale, p)
+        assert bound * (1.0 + tensor._BOUND_SLACK) >= scale * res.value, (C, scale, p)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160])
@@ -238,15 +238,15 @@ def test_row_bound_is_tight_on_rank_one(p, scale):
     ((2, 2, 2, 2), 91, 9, 0, 4108),   # pruned on two levels
 ])
 def test_pruning_skips_most_rows(monkeypatch, dims, seed, steps, refine, parent_calls):
-    # parent_calls: _row_norms calls of the same scan without pruning
+    # parent_calls: row_norms calls of the same scan without pruning
     calls = []
-    norms = oracle._row_norms
+    norms = oracle.row_norms
 
     def counting(X, r):
         calls.append(len(X))
         return norms(X, r)
 
-    monkeypatch.setattr(oracle, "_row_norms", counting)
+    monkeypatch.setattr(oracle, "row_norms", counting)
     grid_ml(_gauss(dims, seed), 3.0, steps, refine)
     assert len(calls) < parent_calls / 2
 
@@ -307,6 +307,16 @@ def test_row_bounds_memory_is_bounded():
     for i in (0, 12345, len(block) - 1):  # rows of the first, a middle and the last sub-block
         S = np.tensordot(block[i], arr, axes=(0, 0))
         assert bounds[i] == pytest.approx(_matrix_bound(S, INF), rel=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 2, 2)])
+def test_p2_scans_of_tiny_tensors_stay_feasible(dims):
+    # the last slot's L_2-dual normalizes w; w @ w of entries near 1e-170 underflows to 0
+    A = _gauss(dims, 5)
+    for scan in (lambda T: grid_ml(T, 2.0, 7, 3), lambda T: oracle_ml(T, 2.0, 7, 3)):
+        tiny, ref = scan(1e-170 * A), scan(A)
+        assert all(np.isfinite(x).all() and lp_norm(x, 2.0) <= 1.0 + 1e-12 for x in tiny.argmax)
+        assert tiny.value == pytest.approx(1e-170 * ref.value, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,31 @@ def test_no_listed_products():
     assert found == []
 
 
-def test_oracle_imports_no_solver():
-    # the oracles check the solvers' certificates, so they share no code with them
-    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+def _import_parts(module):
+    """Every dotted part of every name the module imports."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     parts = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             parts.update((node.module or "").split("."))
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             parts.update(part for alias in node.names for part in alias.name.split("."))
+    return parts
+
+
+def test_oracle_imports_no_solver():
+    # the oracles check the solvers' certificates, so they share no code with them
+    parts = _import_parts("oracle.py")
     assert "holder_dual" in parts  # the walk sees the imports
     assert parts.isdisjoint({"mlopt", "hpopt", "sampler", "estimators", "cli"})
+
+
+def test_shared_bound_sits_in_the_base_layer():
+    # the solver prunes by the oracle scans' bound, so it lives in tensor, which
+    # both may import, and the solver never reaches into the oracle
+    modules = {path.stem for path in SRC.glob("*.py")}
+    assert "oracle" not in _import_parts("mlopt.py")
+    tensor_parts = _import_parts("tensor.py")
+    assert "matrix_bounds" in _import_parts("mlopt.py") & _import_parts("oracle.py")
+    assert "validation" in tensor_parts  # the walk sees the imports
+    assert tensor_parts & modules <= {"errors", "validation"}

@@ -29,14 +29,13 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, ShapeError
 from .pqnorm import holder_dual
 from .symmetry import symmetrize
-from .tensor import (SYM_TOL, as_tensor, contract_all, eval_multilinear, is_supersymmetric,
-                     matrix_bounds, rounding_allowance, row_norms)
+from .tensor import (_TINY, SYM_TOL, as_tensor, contract_all, eval_multilinear,
+                     is_supersymmetric, matrix_bounds, rounding_allowance, row_norms)
 from .validation import INF, check_p, conjugate_exponent
 
 GRID_BUDGET = 10 ** 8
 _SIGN_GATE = 24  # vertex enumeration allowed while sum(dims) <= 24
 _CHUNK = 1 << 16
-_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 class OracleMethod(str, enum.Enum):
@@ -328,10 +327,37 @@ def oracle_ml(A, p, steps, refine=0) -> OracleResult:
 
 
 def _poly_rows(arr, X):
-    d = arr.ndim
-    letters = "abcdefghijkl"[:d]
-    sub = letters + "," + ",".join("t" + c for c in letters) + "->t"
-    return np.einsum(sub, arr, *([X] * d), optimize=True)
+    """f_A(x) = <A, x^{(x) d}> for each row x of X.
+
+    Rows run in sub-blocks of _CHUNK // n^(d-1) rows (at least one).  In each
+    sub-block, one BLAS product contracts the first slot of A with every row,
+    leaving a (rows, n^(d-1)) array of at most _CHUNK doubles (512 KiB; one
+    row's n^(d-1), a slice of A, if that is more); the other d-1 slots are
+    then contracted one at a time, first to last, as the sum over
+    i = 0..n-1 of slice i times coordinate i.  So the memory beyond the
+    result is bounded whatever len(X) is.
+
+    A row's value may round differently than under another evaluation order
+    (or inside another sub-block), by a few ulps of the contraction of |A|
+    with |x|.  So a caller that keeps the largest value can only pick a
+    different row among rows whose values agree to rounding.  Negating a row
+    negates every product exactly, so f(-x) = (-1)^d f(x) bit for bit.
+    """
+    n, d = arr.shape[0], arr.ndim
+    flat = arr.reshape(n, -1)
+    step = max(1, _CHUNK // n ** (d - 1))
+    out = np.empty(len(X))
+    for start in range(0, len(X), step):
+        x = X[start:start + step]
+        Y = x @ flat
+        for _ in range(d - 1):
+            Y = Y.reshape(len(x), n, -1)
+            acc = Y[:, 0] * x[:, :1]
+            for i in range(1, n):
+                acc += Y[:, i] * x[:, i:i + 1]
+            Y = acc
+        out[start:start + step] = Y[:, 0]
+    return out
 
 
 def grid_hp(A, p, steps, refine=0) -> OracleResult:

@@ -28,6 +28,7 @@ SYM_TOL = 1e-9  # asymmetry polynomial inputs may carry, relative to 1 + max|a|
 # _BOUND_TINY.
 _BOUND_SLACK = 1e-9
 _BOUND_TINY = 1e-150
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 class Tensor:
@@ -174,12 +175,27 @@ def is_supersymmetric(A, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 def row_norms(X: np.ndarray, r: float) -> np.ndarray:
-    """L_r norm of each row of X, for r = inf, 1 or a power."""
+    """L_r norm of each row of X, for r = inf, 1 or a power.
+
+    A row whose power sum under- or overflows (it falls outside [smallest
+    normal, inf)) while its largest entry is finite and nonzero is taken over
+    that entry instead, so its norm stays accurate; every other row keeps the
+    plain power sum's bits."""
     if r == INF:
         return np.max(np.abs(X), axis=1)
     if r == 1.0:
         return np.abs(X).sum(axis=1)
-    return np.sum(np.abs(X) ** r, axis=1) ** (1.0 / r)
+    with np.errstate(over="ignore"):
+        total = np.sum(np.abs(X) ** r, axis=1)
+    out = total ** (1.0 / r)
+    redo = np.flatnonzero(~((total >= _TINY) & (total < INF)))
+    if redo.size:
+        absx = np.abs(X[redo])
+        top = absx.max(axis=1)
+        ok = (top > 0.0) & (top < INF)  # zero rows stay 0, inf and nan rows as they are
+        top = top[ok]
+        out[redo[ok]] = top * np.sum((absx[ok] / top[:, None]) ** r, axis=1) ** (1.0 / r)
+    return out
 
 
 def matrix_bounds(C: np.ndarray, q: float, steps: int = 0) -> np.ndarray:

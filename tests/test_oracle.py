@@ -1,10 +1,16 @@
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpmax
 from lpmax import oracle, tensor
 from lpmax.errors import DomainError, ResourceLimitError, ShapeError
 from lpmax.oracle import (
@@ -319,6 +325,16 @@ def test_p2_scans_of_tiny_tensors_stay_feasible(dims):
         assert tiny.value == pytest.approx(1e-170 * ref.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+@pytest.mark.parametrize("dims", [(3, 3), (3, 3, 3)])
+def test_p2_scans_of_scaled_tensors_keep_their_value(dims, scale):
+    # the last slot's offers are L_2 norms whose squares under- or overflow;
+    # an inf or 0 offer from each row would tie them all, and the first row won
+    A = _gauss(dims, 3)
+    ref = grid_ml(A, 2.0, 9, 0).value
+    assert grid_ml(scale * A, 2.0, 9, 0).value / scale == pytest.approx(ref, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # grid_hp
 # ---------------------------------------------------------------------------
@@ -400,6 +416,87 @@ def test_grid_hp_guards(rng):
         grid_hp(rng.standard_normal((3, 3)), INF, steps=5)  # not super-symmetric
     with pytest.raises(ShapeError):
         grid_hp(np.ones(4), INF, steps=5)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial row evaluator of grid_hp
+# ---------------------------------------------------------------------------
+
+def _einsum_rows(arr, X):
+    """grid_hp's former evaluator: one 4-operand einsum over the whole block."""
+    letters = "abcdefghijkl"[:arr.ndim]
+    sub = letters + "," + ",".join("t" + c for c in letters) + "->t"
+    return np.einsum(sub, arr, *([X] * arr.ndim), optimize=True)
+
+
+def _row_counts(n, d):
+    """No rows, one, a few, and (where a sub-block is small enough to check
+    row by row) a count past two sub-blocks that is no multiple of one."""
+    step = max(1, oracle._CHUNK // n ** (d - 1))
+    return [0, 1, 37] + ([2 * step + 3] if step <= 2048 else [])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_poly_rows_match_contract_all(d, scale):
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(210 + d)
+    for n in range(1, 7):
+        arr = scale * random_supersym(rng, n, d)
+        for rows in _row_counts(n, d):
+            X = rng.standard_normal((rows, n))
+            X[::5] = 0.0  # zero rows
+            vals = oracle._poly_rows(arr, X)
+            assert vals.shape == (rows,)
+            for x, v in zip(X, vals):
+                ref = tensor.contract_all(arr, [x] * d)
+                tol = 4 * n ** d * eps * tensor.contract_all(np.abs(arr), [np.abs(x)] * d)
+                assert abs(v - ref) <= tol, (n, d, rows, scale)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_poly_rows_are_sign_symmetric(d):
+    rng = np.random.default_rng(220 + d)
+    for n in range(1, 7):
+        arr = random_supersym(rng, n, d)
+        X = rng.standard_normal((max(_row_counts(n, d)), n))
+        pos, neg = oracle._poly_rows(arr, X), oracle._poly_rows(arr, -X)
+        assert neg.tobytes() == (pos if d % 2 == 0 else -pos).tobytes(), (n, d)
+
+
+def test_poly_rows_memory_is_bounded():
+    # one unchunked (65,536 x 16) intermediate alone is 8 MiB
+    rng = np.random.default_rng(230)
+    arr = random_supersym(rng, 4, 3)
+    X = rng.standard_normal((1 << 16, 4))
+    tracemalloc.start()
+    try:
+        vals = oracle._poly_rows(arr, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    for i in (0, 4097, len(X) - 1):  # rows of the first, a middle and the last sub-block
+        assert vals[i] == pytest.approx(tensor.contract_all(arr, [X[i]] * 3), rel=1e-12)
+
+
+def _hp_cases():
+    """(tensor, p, refine): seeded Gaussian super-symmetric tensors, d = 2..4."""
+    sizes = {2: (2, 3, 5), 3: (2, 3, 4), 4: (2, 3)}
+    return [(_sym(n, d, 240 + 7 * d + n), p, refine)
+            for d, ns in sizes.items() for n in ns
+            for p in (3.0, 4.0, INF) for refine in (0, 8)]
+
+
+def test_grid_hp_certificates_match_the_einsum_evaluator(monkeypatch):
+    cases = _hp_cases()
+    assert len(cases) >= 40
+    new = [grid_hp(A, p, 9, refine) for A, p, refine in cases]
+    monkeypatch.setattr(oracle, "_poly_rows", _einsum_rows)
+    old = [grid_hp(A, p, 9, refine) for A, p, refine in cases]
+    for a, b in zip(new, old):
+        assert a.argmax[0].tobytes() == b.argmax[0].tobytes()
+        assert a.value == b.value
 
 
 # ---------------------------------------------------------------------------
@@ -640,3 +737,22 @@ PINNED_ORACLES = {
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_pinned_oracle_corpus(case):
     assert oracle_digest(ORACLE_CASES[case]()) == PINNED_ORACLES[case]
+
+
+def test_grid_hp_pins_hold_on_one_blas_thread():
+    # the benchmark runs with OPENBLAS_NUM_THREADS=1, and _poly_rows runs on BLAS;
+    # the thread count is read when numpy loads, so the cases run in a subprocess
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(lpmax.__file__).resolve().parents[1]
+    code = ("import json\n"
+            "from test_oracle import ORACLE_CASES, oracle_digest\n"
+            "print(json.dumps({case: oracle_digest(run()) for case, run in ORACLE_CASES.items()"
+            " if case.startswith('grid-hp-')}))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    digests = json.loads(res.stdout)
+    assert len(digests) == 12
+    assert digests == {case: PINNED_ORACLES[case] for case in digests}

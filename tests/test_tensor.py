@@ -14,6 +14,7 @@ from lpmax.tensor import (
     eval_poly,
     is_supersymmetric,
     load_tensor,
+    row_norms,
     save_tensor,
     tensor_from_doc,
     tensor_to_doc,
@@ -146,6 +147,25 @@ def test_is_supersymmetric_degree_nine():
     T = np.cos(idx[:8].sum(axis=0) + 0.5 * idx[8])
     assert not is_supersymmetric(T)
     assert np.array_equal(np.swapaxes(T, 0, 7), T)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_row_norms_rescale_only_rows_out_of_range(r):
+    # rows scaled by powers of two: the power sums of the middle three under-
+    # or overflow at r >= 2, and scaling a row back is exact
+    rng = np.random.default_rng(34)
+    X = rng.standard_normal((7, 4))
+    exps = [0, -565, 532, -1030, 0, 0, 0]
+    Y = X * np.ldexp(1.0, exps)[:, None]
+    Y[4], Y[5, 1], Y[6, 2] = 0.0, np.inf, np.nan
+    out = row_norms(Y, r)
+    plain = np.sum(np.abs(Y[:1]) ** r, axis=1) ** (1.0 / r)
+    assert out[0].tobytes() == plain[0].tobytes()  # in range: the power sum's own bits
+    for i in (1, 2, 3):
+        back = np.ldexp(Y[i], -exps[i])
+        ref = np.ldexp(np.sum(np.abs(back) ** r) ** (1.0 / r), exps[i])
+        assert out[i] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert out[4] == 0.0 and out[5] == np.inf and np.isnan(out[6])
 
 
 def test_doc_roundtrip(rng):

@@ -6,9 +6,14 @@ mapped onto L_p spheres, or closed forms.  The last multilinear slot is never
 gridded -- for fixed partial contraction w the best remaining vector is the
 Holder dual, worth exactly ||w||_q -- which removes one exponential factor.
 
-Every enumerated slot but the last is bound-and-pruned (see _scan_ml): a
-row whose subtree cannot beat the k-th best offer is skipped, so the scan
-returns what a full scan returns, bit for bit.
+Every enumerated slot but the last is bound-and-pruned (see _scan_ml).
+Offers are ranked by value and then by their position in a scan in grid
+order, so the k best are the same whatever order the rows are visited in.
+Each block of rows is visited best bound first: a cheap bound for every row,
+tightened by a few dual steps for the rows still in the running where a
+visit costs more than that, and the block ends at the first bound under the
+k-th best offer.  No skipped row could have placed an offer, so the scan
+returns what a full scan in grid order returns, bit for bit.
 
 Grids are nested: the axis for `steps` is linspace(-1, 1, steps), so
 refining steps -> 2*steps - 1 keeps every old point and the scan maximum is
@@ -36,6 +41,12 @@ from .validation import INF, check_p, conjugate_exponent
 GRID_BUDGET = 10 ** 8
 _SIGN_GATE = 24  # vertex enumeration allowed while sum(dims) <= 24
 _CHUNK = 1 << 16
+# dual steps that tighten a scan row's bound (tensor.matrix_bounds): 16 seeded
+# 3x3x3 grid_ml calls (p = 3 and 4, steps 33, refine 6; 2 vCPU, one BLAS
+# thread) took 9.6 s in total when visited in grid order under the cheap
+# bound alone; visited best first, they took 3.5 s with 2 steps, 3.0-3.2 s
+# with 3, 1.6-1.9 s with 4, 1.1-1.5 s with 5 to 10 and 1.6 s with 12
+_SCAN_DUAL_STEPS = 5
 
 
 class OracleMethod(str, enum.Enum):
@@ -80,7 +91,7 @@ def exact_ml_linf(A) -> OracleResult:
     sources = _slot_sources((partial(_sign_chunks, n, pin_first=(i == 0)),
                              2 ** (n - 1 if i == 0 else n))
                             for i, n in enumerate(A.dims[:-1]))
-    _scan_ml(A.data, sources, 1.0, top, ())
+    _scan_ml(A.data, sources, 1.0, top)
     xs = _complete(A.data, top.best[1], 1.0)
     value = eval_multilinear(A, list(xs))
     return OracleResult(value=float(value), argmax=xs,
@@ -145,28 +156,45 @@ def _check_grid_args(p, steps):
 
 
 class _TopK:
-    """Keeps the k best (value, payload) pairs seen so far."""
+    """Keeps the k best offers seen so far, ranked by value (descending) and
+    then by scan position (ascending).
+
+    An offer is (value, payload, pos), pos a tuple that orders offers as a
+    scan in grid order makes them.  Offered in that order, an offer is kept
+    only when it is strictly greater than the k-th best, so ties keep the
+    first offer, and the rank makes this hold whatever order the offers come
+    in: the kept items are the k least by (-value, pos).  ``items`` holds
+    them as (value, payload) pairs in that order.  A nan value ranks with
+    nothing, as under the strictly-greater test: it is never kept once k
+    offers are held, and a held nan keeps every later offer out.
+    """
 
     def __init__(self, k):
         self.k = max(1, int(k))
-        self.items = []
+        self._held = []  # (value, pos, payload)
 
-    def offer(self, value, payload):
-        if len(self.items) < self.k:
-            self.items.append((value, payload))
-            self.items.sort(key=lambda t: -t[0])
-        elif value > self.items[-1][0]:
-            self.items[-1] = (value, payload)
-            self.items.sort(key=lambda t: -t[0])
+    def offer(self, value, payload, pos):
+        if len(self._held) == self.k:
+            low, low_pos, _ = self._held[-1]
+            if not (value > low or (value == low and pos < low_pos)):
+                return
+            self._held.pop()
+        self._held.append((value, pos, payload))
+        self._held.sort(key=lambda t: (-t[0], t[1]))
+
+    @property
+    def items(self):
+        return [(value, payload) for value, _, payload in self._held]
 
     @property
     def best(self):
-        return self.items[0]
+        value, _, payload = self._held[0]
+        return value, payload
 
     @property
     def floor(self):
-        """The value an offer must beat once k items are held; -inf before."""
-        return self.items[-1][0] if len(self.items) == self.k else -math.inf
+        """The value an offer must reach once k items are held; -inf before."""
+        return self._held[-1][0] if len(self._held) == self.k else -math.inf
 
 
 def _dual_vec(w, q):
@@ -200,7 +228,8 @@ def _complete(arr, prefix, q):
 
 
 def _slot_sources(slots):
-    """Row sources for _scan_ml from one (blocks, rows) pair per slot.
+    """Row sources for _scan_ml: one (blocks, rows) pair per slot, rows the
+    number of rows that blocks() yields.
 
     _scan_ml calls an inner slot's source once per row of the slots before
     it, so an inner slot of at most _CHUNK rows is built once and replayed
@@ -211,46 +240,96 @@ def _slot_sources(slots):
     for i, (blocks, rows) in enumerate(slots):
         if i > 0 and rows <= _CHUNK:
             blocks = (lambda built=tuple(blocks()): built)
-        sources.append(blocks)
+        sources.append((blocks, rows))
     return sources
 
 
-def _row_bounds(block, arr, q):
+def _row_bounds(block, arr, q, steps=0):
     """Upper bound on ||S_r||_{p->q} (p = q*) for each row r of block, S_r the
     (first slot | rest) flattening of arr contracted with r: the
-    tensor.matrix_bounds of the stack of S_r, built 8 MiB at a time."""
+    tensor.matrix_bounds of the stack of S_r with ``steps`` dual steps, built
+    8 MiB at a time."""
     flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
     step = max(1, _CHUNK * 16 // flat[0].size)
     out = np.empty(len(block))
     for i in range(0, len(block), step):
         S = np.tensordot(block[i:i + step], flat, axes=(1, 0))
-        out[i:i + step] = matrix_bounds(S, q)
+        out[i:i + step] = matrix_bounds(S, q, steps)
     return out
 
 
-def _scan_ml(arr, blocks, q, top, prefix):
+def _best_first(block, arr, q, top, tighten):
+    """Indices of the rows of block to visit, best bound first and ties by
+    index, up to the first bound strictly under top.floor.
+
+    A row's bound, which caps every offer computed below it, is its cheap
+    _row_bounds bound plus a rounding allowance; a nan bound (an overflowed
+    allowance) is read as inf.  With ``tighten``, once top holds k offers
+    and after a visit, the rows still at or above the floor get the least of
+    that bound and their _row_bounds bound with _SCAN_DUAL_STEPS dual steps
+    (plus the same allowance), and the rest are visited in that order.  Rows
+    of inf bound keep it: it comes from an overflow, which the dual steps do
+    not bound either; so do rows whose allowance alone reaches the floor, as
+    no tightening can take them under it.  Fewer than _SCAN_DUAL_STEPS rows
+    left to tighten are not tightened: the fixed cost of the dual steps, one
+    stacked eigenproblem each, then outweighs the visits they can save (on
+    d = 4 and 5 grids of 8 to 16 rows a slot, it did).  The floor is read
+    again before every visit, as the offers of each visit can raise it."""
+    allowance = rounding_allowance(arr, block, q)
+    bounds = _row_bounds(block, arr, q) + allowance
+    bounds[np.isnan(bounds)] = np.inf
+    order = np.argsort(-bounds, kind="stable")
+    while order.size and bounds[order[0]] >= top.floor:
+        yield int(order[0])
+        order = order[1:]
+        if tighten and top.floor > -math.inf:
+            tighten = False
+            floor = top.floor
+            live = order[(bounds[order] >= floor) & (bounds[order] < math.inf)
+                         & (allowance[order] < floor)]
+            if live.size >= _SCAN_DUAL_STEPS:
+                # fmin: a nan tightened bound keeps the cheap one
+                bounds[live] = np.fmin(bounds[live], allowance[live] + _row_bounds(
+                    block[live], arr, q, _SCAN_DUAL_STEPS))
+                order = order[bounds[order] >= floor]
+                order = order[np.lexsort((order, -bounds[order]))]
+
+
+def _scan_ml(arr, slots, q, top, prefix=(), pos=()):
     """Enumerate slots left to right, slot i over the row blocks that
-    ``blocks[i]()`` yields, and offer each prefix with the L_q norm of the
+    ``slots[i][0]()`` yields, and offer each prefix with the L_q norm of the
     contraction it leaves; the last enumerated slot is vectorized per block.
-    Offers are strictly-greater, so ties keep the first row in scan order.
-    A row of an earlier slot is skipped when its _row_bounds bound plus a
-    rounding allowance, which caps every offer computed below it, is strictly
-    under the k-th best held (which never falls): no such offer is accepted."""
+
+    An offer's pos is its row's index in each earlier slot's stream, then
+    its block's index in the last slot, so pos orders offers as the scan in
+    grid order makes them, and top keeps the same items whatever order the
+    rows are visited in.  Each block of an earlier slot is visited best
+    first by _best_first: a row is skipped once its bound is strictly under
+    the k-th best held (which never falls), as no offer below it can then be
+    kept.  So the scan keeps what a full scan in grid order keeps.  The dual
+    steps tighten nothing at q = 2, and elsewhere they only pay where a
+    visit costs more than a row's tightening: where the inner slots hold
+    more rows than _SCAN_DUAL_STEPS times the entries of the row's
+    contraction S_r (each dual step is an eigenproblem on S_r)."""
+    blocks, _ = slots[0]
     if arr.ndim == 2:
-        for block in blocks[0]():
+        b = 0  # not enumerate, whose result tuple would keep the last block alive
+        for block in blocks():
             vals = row_norms(block @ arr, q)
             k = int(np.argmax(vals))
-            top.offer(float(vals[k]), prefix + (block[k].copy(),))
+            top.offer(float(vals[k]), prefix + (block[k].copy(),), pos + (b,))
+            b += 1
             del block  # free it before a streamed source builds the next one
         return
-    for block in blocks[0]():
-        # a nan bound (an overflowed allowance) compares below nothing
-        bounds = _row_bounds(block, arr, q) + rounding_allowance(arr, block, q)
-        for row, bound in zip(block, bounds):
-            if bound < top.floor:
-                continue
+    tighten = q < 2.0 and (math.prod(rows for _, rows in slots[1:])
+                           > _SCAN_DUAL_STEPS * arr[0].size)
+    start = 0
+    for block in blocks():
+        for i in _best_first(block, arr, q, top, tighten):
+            row = block[i]
             sub = np.tensordot(arr, row, axes=(0, 0))
-            _scan_ml(sub, blocks[1:], q, top, prefix + (row.copy(),))
+            _scan_ml(sub, slots[1:], q, top, prefix + (row.copy(),), pos + (start + i,))
+        start += len(block)
 
 
 def _ml_ascent(arr, xs, q, sweeps=300, rtol=1e-13):
@@ -297,7 +376,7 @@ def grid_ml(A, p, steps, refine=0) -> OracleResult:
     top = _TopK(max(1, refine))
     sources = _slot_sources((partial(_sphere_chunks, n, steps, p), _surface_count(n, steps))
                             for n in A.dims[:-1])
-    _scan_ml(A.data, sources, q, top, ())
+    _scan_ml(A.data, sources, q, top)
     candidates = [top.best]
     if refine > 0:
         candidates += [_ml_ascent(A.data, _complete(A.data, prefix, q), q)

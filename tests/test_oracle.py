@@ -187,9 +187,9 @@ def test_grid_ml_builds_each_inner_slot_once(monkeypatch, dims, steps, calls):
 # the pruning bound of the multilinear scans
 # ---------------------------------------------------------------------------
 
-def _matrix_bound(C, p):
+def _matrix_bound(C, p, steps=0):
     # a one-row block on the stack C[None] makes S_r the matrix C itself
-    return oracle._row_bounds(np.ones((1, 1)), C[None], conjugate_exponent(p))[0]
+    return oracle._row_bounds(np.ones((1, 1)), C[None], conjugate_exponent(p), steps)[0]
 
 
 def _bound_corpus():
@@ -224,8 +224,10 @@ def test_row_bound_is_above_the_oracle_value():
         res = oracle_ml(short, p, steps, refine=6)
         if p == INF:
             assert res.method is OracleMethod.VERTEX_ENUM  # the exact optimum
-        bound = _matrix_bound(scale * C, p)
-        assert bound * (1.0 + tensor._BOUND_SLACK) >= scale * res.value, (C, scale, p)
+        # both tiers of the scan: the cheap bound and the one its dual steps tighten
+        for steps in (0, oracle._SCAN_DUAL_STEPS):
+            bound = _matrix_bound(scale * C, p, steps)
+            assert bound * (1.0 + tensor._BOUND_SLACK) >= scale * res.value, (C, scale, p, steps)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160])
@@ -242,9 +244,12 @@ def test_row_bound_is_tight_on_rank_one(p, scale):
 @pytest.mark.parametrize("dims, seed, steps, refine, parent_calls", [
     ((3, 3, 3), 92, 17, 6, 9240),
     ((2, 2, 2, 2), 91, 9, 0, 4108),   # pruned on two levels
+    # the benchmark's size; pruned in grid order under the cheap bound alone
+    pytest.param((3, 3, 3), 5, 33, 6, 12630, id="3x3x3-s33-grid-order"),
 ])
 def test_pruning_skips_most_rows(monkeypatch, dims, seed, steps, refine, parent_calls):
-    # parent_calls: row_norms calls of the same scan without pruning
+    # parent_calls: row_norms calls of the same scan without pruning, or (the
+    # last case) with each block pruned in grid order under the cheap bound
     calls = []
     norms = oracle.row_norms
 
@@ -254,7 +259,7 @@ def test_pruning_skips_most_rows(monkeypatch, dims, seed, steps, refine, parent_
 
     monkeypatch.setattr(oracle, "row_norms", counting)
     grid_ml(_gauss(dims, seed), 3.0, steps, refine)
-    assert len(calls) < parent_calls / 2
+    assert len(calls) <= parent_calls / 3
 
 
 @pytest.mark.parametrize("call", [
@@ -277,9 +282,17 @@ def test_pruning_skips_most_rows(monkeypatch, dims, seed, steps, refine, parent_
     # the bound stack itself overflows
     lambda: grid_ml(5e307 * _gauss((3, 3, 3), 0), 3.0, 9, 3),
     lambda: exact_ml_linf(5e307 * _gauss((3, 3, 3), 0)),
+    # the benchmark's size, where the dual steps tighten every block
+    lambda: grid_ml(_gauss((3, 3, 3), 5), 3.0, 33, 6),
+    lambda: grid_ml(_gauss((3, 3, 3), 6), 4.0, 33, 6),
+    # slot 2's blocks are visited best first and tightened, once per row of slot 1
+    lambda: grid_ml(_gauss((2, 3, 3, 2), 84), 3.0, 7, 6),
+    # every row ties: the top 6 is the first 6 offers in grid order
+    lambda: grid_ml(np.full((3, 3, 3), 0.1), 3.0, 17, 6),
 ], ids=["gauss-d3-p2", "gauss-d4", "gauss-d5", "ints-pinf", "few-offers", "rank-one-ties",
         "exact-d4", "tiny-p3", "tiny-pinf", "subnormal-d4-p2", "tiny-exact", "huge-p3",
-        "huge-p2", "huge-exact-d4", "overflow-p3", "overflow-exact"])
+        "huge-p2", "huge-exact-d4", "overflow-p3", "overflow-exact", "verify-p3", "verify-p4",
+        "d4-inner-best-first", "all-ties"])
 def test_pruned_scan_keeps_the_full_scans_top_k(monkeypatch, call):
     # every item the full scan keeps, in order, not only the winner: refine
     # polishes all of them
@@ -296,6 +309,35 @@ def test_pruned_scan_keeps_the_full_scans_top_k(monkeypatch, call):
     call()
     pruned, full = ([(v, [x.tobytes() for x in xs]) for v, xs in top.items] for top in tops)
     assert pruned == full
+
+
+@pytest.mark.parametrize("k", [1, 6, 40])
+def test_topk_keeps_the_same_items_in_any_offer_order(k):
+    # offers as a scan makes them, in grid order: values heavy with exact
+    # ties, and each row x met again later as -x on the opposite face, with
+    # the same value (the L_q norm of a contraction is sign-symmetric)
+    rng = np.random.default_rng(78)
+    offers = []
+    for i in range(120):
+        value = float(rng.integers(-2, 3)) / 4.0
+        x = rng.integers(-2, 3, size=3).astype(float)
+        pos = (int(i // 10), int(i % 10))
+        offers.append((value, (x,), pos))
+        if i % 3 == 0:
+            offers.append((value, (-x,), (pos[0] + 12, pos[1])))
+    offers.sort(key=lambda t: t[2])
+
+    def kept(order):
+        top = oracle._TopK(k)
+        for i in order:
+            top.offer(*offers[i])
+        return [(v, [x.tobytes() for x in xs]) for v, xs in top.items]
+
+    in_order = kept(range(len(offers)))
+    ranked = sorted(offers, key=lambda t: (-t[0], t[2]))[:k]
+    assert in_order == [(v, [x.tobytes() for x in xs]) for v, xs, _ in ranked]
+    for seed in range(5):
+        assert kept(np.random.default_rng(seed).permutation(len(offers))) == in_order
 
 
 def test_row_bounds_memory_is_bounded():
@@ -739,20 +781,23 @@ def test_pinned_oracle_corpus(case):
     assert oracle_digest(ORACLE_CASES[case]()) == PINNED_ORACLES[case]
 
 
-def test_grid_hp_pins_hold_on_one_blas_thread():
-    # the benchmark runs with OPENBLAS_NUM_THREADS=1, and _poly_rows runs on BLAS;
-    # the thread count is read when numpy loads, so the cases run in a subprocess
+def test_oracle_pins_hold_on_one_blas_thread():
+    # the benchmark runs with OPENBLAS_NUM_THREADS=1, and the scans and _poly_rows
+    # run on BLAS; the thread count is read when numpy loads, so the cases run in
+    # a subprocess.  One pin moves: contract_all's tensordot on the (4, 2, 20000)
+    # tensor of grid-ml-long-last-slot sums in another order on one thread
     tests_dir = Path(__file__).resolve().parent
     src_dir = Path(lpmax.__file__).resolve().parents[1]
     code = ("import json\n"
             "from test_oracle import ORACLE_CASES, oracle_digest\n"
             "print(json.dumps({case: oracle_digest(run()) for case, run in ORACLE_CASES.items()"
-            " if case.startswith('grid-hp-')}))\n")
+            " if case.startswith(('exact-', 'grid-ml-', 'grid-hp-'))}))\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=300)
     assert res.returncode == 0, res.stderr
     digests = json.loads(res.stdout)
-    assert len(digests) == 12
-    assert digests == {case: PINNED_ORACLES[case] for case in digests}
+    assert len(digests) == 17 + 40 + 12
+    moved = {case for case, digest in digests.items() if digest != PINNED_ORACLES[case]}
+    assert moved == {"grid-ml-long-last-slot"}

@@ -173,7 +173,7 @@ def _exit_on(exits: dict):
     try:
         yield
     except tuple(exits) as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(next(code for kind, code in exits.items() if isinstance(exc, kind)))
 
 
@@ -310,7 +310,7 @@ def _cli_command(name):
         with _exit_on(_PARSE_EXITS):
             vals = _resolve(flags, _config_defaults())
         report = run(name, file, **vals)
-        click.echo(report.render(vals["format"]), nl=False)
+        click.echo(report.render(vals["format"]), file=sys.stdout, nl=False)
 
     for key in reversed(COMMANDS[name].options):
         _, kind, text = _SETTINGS[key]
@@ -335,7 +335,7 @@ def _cli_symmetrize(file, out):
         S = symmetrize(A)
     with _exit_on({OSError: EXIT_PARSE}):
         save_tensor(S, out)
-    click.echo(f"wrote sym tensor dims={'x'.join(str(n) for n in S.dims)} to {out}")
+    click.echo(f"wrote sym tensor dims={'x'.join(str(n) for n in S.dims)} to {out}", file=sys.stdout)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,8 @@ KG_BOUND = math.pi / (2.0 * KRIVINE_C)  # < 1.783
 # stacks are solved in chunks, which bounds the solver's working memory at
 # about twenty such arrays whatever k and N are
 _STACK_ELEMS = 1 << 13
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a smaller norm has subnormal squares
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+_SQRT_TINY = math.sqrt(_TINY)  # a smaller norm has subnormal squares
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,13 @@ def holder_dual(y, q) -> np.ndarray:
         raise DegenerateInputError("holder_dual of the zero vector")
     if qf == 1.0:
         return np.where(y >= 0, 1.0, -1.0)
-    nq = lp_norm(y, qf)
-    return np.sign(y) * (np.abs(y) / nq) ** (qf - 1.0)
+    a = np.abs(y)
+    with np.errstate(over="ignore"):
+        total = np.sum(a ** qf)
+    if not _TINY <= total < INF:  # under- or overflowed: y / max|y| has the same dual
+        a = a / a.max()
+        total = np.sum(a ** qf)
+    return np.sign(y) * (a / total ** (1.0 / qf)) ** (qf - 1.0)
 
 
 # ---------------------------------------------------------------------------

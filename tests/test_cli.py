@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -275,3 +276,25 @@ def test_text_format_is_stable(files):
     assert lines[2].startswith("seed: ")
     assert lines[3].startswith("config: ")
     assert lines[-1].startswith("wall_time_s: ")
+
+
+def test_in_process_calls_release_their_output_streams(files, tmp_path):
+    # click.echo without file= caches a wrapper keyed by the current sys.stdout
+    # whose value refers back to that stream, so each CliRunner call's streams
+    # (and everything written to them) would stay alive
+    from click.testing import _NamedTextIOWrapper
+
+    def live():
+        return sum(isinstance(o, _NamedTextIOWrapper) for o in gc.get_objects())
+
+    runner = CliRunner()
+    calls = (["oracle", files["mat"], "--p", "inf"],                        # report
+             ["solve-ml", files["garbage"], "--p", "inf"],                  # error
+             ["symmetrize", files["mat"], "--out", str(tmp_path / "s.json")])
+    gc.collect()
+    before = live()
+    for _ in range(17):
+        for args in calls:
+            runner.invoke(main, args)
+    gc.collect()
+    assert live() == before

@@ -157,6 +157,14 @@ def test_grid_ml_argmax_feasible(rng):
     assert res.resolution == pytest.approx(2.0 / 6.0)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_grid_ml_survives_extreme_scales(scale):
+    # the Holder duals that complete each scanned row must not over- or underflow
+    A = np.random.default_rng(0).standard_normal((3, 3, 3))
+    want = grid_ml(A, 3.0, 9, 0).value
+    assert want > 4.0
+    assert grid_ml(scale * A, 3.0, 9, 0).value / scale == pytest.approx(want, rel=1e-12)
+
 def test_grid_ml_budget_and_arg_guards(rng):
     with pytest.raises(ResourceLimitError):
         grid_ml(rng.standard_normal((12, 12, 12, 12)), INF, steps=33)

@@ -48,6 +48,15 @@ def test_holder_dual_guards():
         holder_dual(np.zeros(3), 1.5)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+@pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 1.9])
+def test_holder_dual_survives_extreme_scales(q, scale):
+    # the power sum of y over- or underflows, but the dual of y is that of y / max|y|
+    y = np.array([1.0, -2.0, 3.0])
+    assert np.allclose(holder_dual(scale * y, q), holder_dual(y, q), rtol=1e-14, atol=0.0)
+
+
+
 # ---------------------------------------------------------------------------
 # L_{p/2}-ball projection
 # ---------------------------------------------------------------------------
@@ -204,6 +213,32 @@ def test_solve_vecp_stack_rows_equal_solo_solves(rng, p, monkeypatch):
                         assert np.array_equal(getattr(g, f), getattr(solo, f)), f
                     assert g.value == solo.value
     assert unconverged > 0
+
+
+# relaxation values of the earlier projected-gradient/Dykstra solver on a seeded
+# corpus: matrix i is default_rng(7000 + i).standard_normal((2 + i % 7,
+# 2 + (3i + 1) % 7)) at p = _CORPUS_PS[i % 5].  A solver may only match or beat them.
+_CORPUS_PS = (2.5, 3.0, "7/2", 4.0, INF)
+_CORPUS_VALUES = (
+    1.5904447872011145, 4.843777963649146, 3.454516426764852, 5.319209195246507,
+    22.888099709099823, 4.4676321119249005, 8.45582169651625, 3.831762925381913,
+    7.931105206811898, 7.822391116530738, 3.999180402232666, 8.808557728285399,
+    6.150515449985493, 12.299400531212644, 3.7929909995369466, 3.5026870326384527,
+    3.013914885570794, 5.635085208571712, 10.51413060029873, 16.175645691322977,
+    5.941365106553758, 1.6319279760072831, 5.256531956203695, 2.53653126603543,
+    12.445641026747959, 5.582788668521169, 5.08293026340778, 7.686194512318622,
+    2.0256146472851193, 11.838267795307171, 2.929656484697889, 6.334290350767076,
+    11.158834374465288, 7.058742072018386, 21.947941215297966, 3.047092011580972,
+    4.0273676481525005, 2.6720052736189386, 7.2038209757942715, 24.04816439871821,
+    5.5575162720819185, 7.683224938391575, 3.1688792254882974, 9.64267138431976,
+    5.167367537652628,
+)
+
+
+def test_solve_vecp_never_falls_below_the_corpus_values():
+    for i, old in enumerate(_CORPUS_VALUES):
+        B = np.random.default_rng(7000 + i).standard_normal((2 + i % 7, 2 + (3 * i + 1) % 7))
+        assert solve_vecp(B, _CORPUS_PS[i % 5]).value >= old * (1.0 - 1e-9), i
 
 
 def test_solve_vecp_upper_bounds_true_norm(rng):

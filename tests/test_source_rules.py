@@ -51,3 +51,17 @@ def test_shared_bound_sits_in_the_base_layer():
     assert "matrix_bounds" in _import_parts("mlopt.py") & _import_parts("oracle.py")
     assert "validation" in tensor_parts  # the walk sees the imports
     assert tensor_parts & modules <= {"errors", "validation"}
+
+
+def test_every_echo_names_its_stream():
+    # click.echo without file= caches a wrapper keyed by the current sys.stdout
+    # or sys.stderr that keeps the stream alive, which leaks every in-process
+    # call's output (CliRunner, the benchmark) for the life of the interpreter
+    calls = [(path.name, node)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "echo"]
+    assert calls  # the walk sees the calls
+    assert [f"{name}:{node.lineno}" for name, node in calls
+            if "file" not in {kw.arg for kw in node.keywords}] == []

@@ -335,7 +335,8 @@ def _cli_symmetrize(file, out):
         S = symmetrize(A)
     with _exit_on({OSError: EXIT_PARSE}):
         save_tensor(S, out)
-    click.echo(f"wrote sym tensor dims={'x'.join(str(n) for n in S.dims)} to {out}", file=sys.stdout)
+    click.echo(f"wrote sym tensor dims={'x'.join(str(n) for n in S.dims)} to {out}",
+               file=sys.stdout)
 
 
 if __name__ == "__main__":

@@ -81,7 +81,7 @@ CASES = {
 
 PINNED = {
     "cfg-hp": "39619ea3ed6a7e12",
-    "cfg-ml": "98ec70bd2b530b75",
+    "cfg-ml": "7f47ae5979ca7f22",
     "cfg-ml-flag-wins": "443bbe855720f829",
     "cfg-oracle": "f832e29a960d1d9f",
     "cfg-pq": "010541d501f7c6d5",
@@ -105,12 +105,12 @@ PINNED = {
     "help-main": "43bf58ce3fe35c19",
     "help-ml": "15b5d1038ca101b6",
     "help-pq": "461d5586f68aab2d",
-    "hp-even": "e47e71c20725dfd3",
-    "hp-json": "f9e84e2d232290bc",
+    "hp-even": "b670c0d6e8d9c2d4",
+    "hp-json": "4b85bd1a35c940a5",
     "hp-oracle": "db177d63eee2b852",
     "hp-text": "51cb34746e2939c2",
     "ml-d2-hyperplane": "8c79c1445ab7fa9d",
-    "ml-json": "730737f64971195f",
+    "ml-json": "6a2c5891aa70056d",
     "ml-oracle": "76d7221b9c40110a",
     "ml-oracle-grid": "86a06986f085d3b4",
     "ml-text": "f812006311b54624",
@@ -118,7 +118,7 @@ PINNED = {
     "oracle-ml": "5fd0fa33c2584e18",
     "oracle-ml-grid": "4c897e00193ff394",
     "oracle-pqnorm": "6cef38fa63163fb4",
-    "pq-json": "f64ad10ad98618bb",
+    "pq-json": "f7a1763d4a65d3e6",
     "pq-max-samples": "5d756cc66c67cedc",
     "pq-oracle": "9b07adfdbf4acf3a",
     "pq-text": "fb1e8768f6fb9b31",

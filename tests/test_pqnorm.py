@@ -10,7 +10,6 @@ from lpmax.pqnorm import (
     KRIVINE_C,
     holder_dual,
     pq_norm_lb,
-    project_lp_ball,
     round_gram,
     solve_vecp,
     solve_vecp_stack,
@@ -55,67 +54,6 @@ def test_holder_dual_survives_extreme_scales(q, scale):
     y = np.array([1.0, -2.0, 3.0])
     assert np.allclose(holder_dual(scale * y, q), holder_dual(y, q), rtol=1e-14, atol=0.0)
 
-
-
-# ---------------------------------------------------------------------------
-# L_{p/2}-ball projection
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("s", [1.25, 1.5, 2.0, 3.0, 4.0])
-def test_project_lp_ball_feasible_and_idempotent(rng, s):
-    y = rng.standard_normal(8) * 3.0
-    x = project_lp_ball(y, s)
-    assert np.sum(np.abs(x) ** s) <= 1.0 + 1e-9
-    # projecting a feasible point is the identity
-    assert np.allclose(project_lp_ball(x, s), x, atol=1e-9)
-    inside = 0.1 * np.ones(4)
-    assert np.array_equal(project_lp_ball(inside, s), inside)
-
-
-@pytest.mark.parametrize("s", [1.25, 1.5, 3.0])
-def test_project_lp_ball_kkt(rng, s):
-    # stationarity: y - x is parallel to the gradient of sum |x|^s,
-    # so (y_i - x_i) / (s * sign(x_i) |x_i|^(s-1)) is a constant multiplier
-    y = rng.standard_normal(6) * 2.0 + 1.0
-    x = project_lp_ball(y, s)
-    grad = s * np.sign(x) * np.abs(x) ** (s - 1.0)
-    mask = np.abs(x) > 1e-12
-    mults = (y[mask] - x[mask]) / grad[mask]
-    assert np.max(mults) - np.min(mults) <= 1e-9 * (1.0 + np.max(np.abs(mults)))
-    assert np.min(mults) >= -1e-12
-
-
-def test_project_lp_ball_preserves_signs_and_order(rng):
-    y = np.array([-3.0, 0.5, 2.0, -0.1])
-    x = project_lp_ball(y, 1.5)
-    assert np.all(np.sign(x) == np.sign(y))
-    # shrinkage is monotone in |y|
-    assert abs(x[0]) >= abs(x[2]) >= abs(x[1]) >= abs(x[3])
-
-
-def test_project_lp_ball_euclidean_case(rng):
-    y = rng.standard_normal(5) * 4.0
-    x = project_lp_ball(y, 2.0)
-    assert np.allclose(x, y / np.linalg.norm(y))
-
-
-def test_project_lp_ball_rejects_s_at_most_one():
-    with pytest.raises(DomainError):
-        project_lp_ball(np.ones(3), 1.0)
-
-
-@pytest.mark.parametrize("s", [1.25, 1.5, 2.5, 3.0])
-def test_project_lp_ball_optimality_vs_candidates(rng, s):
-    # no feasible perturbation of the projection may be closer to y
-    y = rng.standard_normal(5) * 2.0
-    x = project_lp_ball(y, s)
-    d0 = np.sum((x - y) ** 2)
-    for _ in range(200):
-        z = x + rng.standard_normal(5) * 0.05
-        nz = np.sum(np.abs(z) ** s)
-        if nz > 1.0:
-            z = z * nz ** (-1.0 / s)
-        assert np.sum((z - y) ** 2) >= d0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +122,13 @@ def test_solve_vecp_rejects_bad_input():
 @pytest.mark.parametrize("p", [INF, 4.0, 3.0, "7/2"])
 def test_solve_vecp_stack_rows_equal_solo_solves(rng, p, monkeypatch):
     # each row of a stacked solve runs exactly the arithmetic of its solo
-    # solve, so every array and value must match bit for bit; max_iter = 8
-    # leaves rows unconverged, and there a tiny element budget forces chunks.
-    # Full solves run only where the multiplier search is vectorized: at
-    # other p its row-by-row Newton loop makes them slow, and the stacking
-    # logic they would exercise is the same.
+    # solve, so every array and value must match bit for bit, for full
+    # solves and for max_iter = 8, which leaves rows unconverged and where a
+    # tiny element budget forces chunks
     unconverged = 0
     for m, n in ((2, 2), (3, 4), (6, 5)):
         Bs = rng.standard_normal((2, m, n))
-        for max_iter in ((5000, 8) if p in (INF, 4.0) else (8,)):
+        for max_iter in (5000, 8):
             solos = []
             for B in Bs:
                 try:
@@ -214,6 +150,18 @@ def test_solve_vecp_stack_rows_equal_solo_solves(rng, p, monkeypatch):
                     assert g.value == solo.value
     assert unconverged > 0
 
+
+def test_solve_vecp_converges_where_the_ascent_turns_sublinear():
+    # near an optimum of low rank the ascent slows down sublinearly: here its
+    # starts need about 3,700 steps to gain under 1e-13 per step.  Cut off
+    # where a step still gains more than tol / max_iter the solve raises;
+    # cut off where it gains less, it converges, with its value inside tol
+    B = np.random.default_rng(37).standard_normal((6, 6))
+    full = solve_vecp(B, INF).value
+    with pytest.raises(ConvergenceError) as exc:
+        solve_vecp(B, INF, max_iter=100)
+    assert exc.value.best.value < full * (1.0 - 1e-6)
+    assert solve_vecp(B, INF, max_iter=1000).value >= full * (1.0 - 1e-6)
 
 # relaxation values of the earlier projected-gradient/Dykstra solver on a seeded
 # corpus: matrix i is default_rng(7000 + i).standard_normal((2 + i % 7,

@@ -15,10 +15,10 @@ single-trial expectation is (2 ln(1+sqrt 2)/pi) * relaxation value), and
 pq_norm_lb chains the two.
 
 solve_vecp works on the Gram factors of X: unit directions u_i, v_j in
-R^(m+n), a rank at which every feasible X has them, and lengths l, l' in the
-unit L_p ball.  Block coordinate ascent on them (the "mixing method" of Wang,
-Chang & Kolter, arXiv:1706.00476, with Holder-dual length updates) sets one
-side to its closed-form best given the other; every iterate is feasible.
+R^(m+n), enough dimensions to factor every feasible X, and lengths l, l' in
+the unit L_p ball.  Block coordinate ascent on them (the "mixing method" of
+Wang, Chang & Kolter, arXiv:1706.00476, with Holder-dual length updates) sets
+one side to its closed-form best given the other; every iterate is feasible.
 The solver has one implementation, which works on a (k, m, n) stack of
 same-shape matrices: solve_vecp_stack.  Each start of each matrix keeps its
 own stopping rule and leaves the active set when it stops, and every
@@ -36,15 +36,15 @@ import numpy as np
 from .config import SolverConfig
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from .sampler import STREAM_TRIALS, derive_rng
+from .tensor import _TINY
 from .validation import INF, as_float_array, as_matrix, check_p
 
 KRIVINE_C = math.log(1.0 + math.sqrt(2.0))  # sinh(KRIVINE_C) = 1
 KG_BOUND = math.pi / (2.0 * KRIVINE_C)  # < 1.783
 # entries of one (k, N, N) array, N = m + n, of a stacked solve (64 KB); longer
 # stacks are solved in chunks, which bounds the solver's working memory at
-# about ten such arrays whatever k and N are
+# about a dozen such arrays whatever k and N are
 _STACK_ELEMS = 1 << 13
-_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 _SQRT_TINY = math.sqrt(_TINY)  # a smaller norm has subnormal squares
 
 
@@ -197,7 +197,7 @@ def _solve_chunk(B: np.ndarray, pf: float, tol: float, max_iter: int):
         np.concatenate([Bh] * 3), pf, *(np.concatenate(parts) for parts in zip(*starts)),
         iters=max_iter, rtol=1e-7 * tol)
     best = np.argmax(value.reshape(3, k), axis=0)  # ties keep the earlier start
-    stalled = gain <= max(1e-7, 1.0 / max_iter) * tol * (1.0 + np.abs(value))
+    stalled = gain <= max(1e-7, 1.0 / max(max_iter, 1)) * tol * (1.0 + np.abs(value))
     converged = stalled.reshape(3, k).all(axis=0)
     out = []
     for i, r in enumerate(best * k + np.arange(k)):

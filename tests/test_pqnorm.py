@@ -161,7 +161,10 @@ def test_solve_vecp_converges_where_the_ascent_turns_sublinear():
     with pytest.raises(ConvergenceError) as exc:
         solve_vecp(B, INF, max_iter=100)
     assert exc.value.best.value < full * (1.0 - 1e-6)
+    with pytest.raises(ConvergenceError):
+        solve_vecp(B, INF, max_iter=0)
     assert solve_vecp(B, INF, max_iter=1000).value >= full * (1.0 - 1e-6)
+
 
 # relaxation values of the earlier projected-gradient/Dykstra solver on a seeded
 # corpus: matrix i is default_rng(7000 + i).standard_normal((2 + i % 7,

@@ -211,8 +211,8 @@ def solve_vecp_stack(Bs, p, tol: float = 1e-6, max_iter: int = 5000) -> list:
     """solve_vecp on every matrix of a (k, m, n) stack, solved together.
 
     Returns one (GramSolution, converged) pair per matrix, each bit-equal to
-    what solve_vecp returns for that matrix alone; a matrix that hits
-    max_iter comes back with converged=False instead of raising.  Long stacks
+    what solve_vecp returns for that matrix alone; a matrix that is not
+    converged at max_iter comes back with converged=False instead of raising.  Long stacks
     are split into chunks of at most _STACK_ELEMS matrix entries.
     """
     Bs = as_float_array(Bs, "matrix stack")

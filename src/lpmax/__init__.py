@@ -11,8 +11,8 @@ from .hpopt import HpCertificate, HpInstance, polarize_even, polarize_odd, solve
 from .mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
 from .oracle import (OracleMethod, OracleResult, exact_ml_linf, fn_check,
                      grid_hp, grid_ml, oracle_ml, sym_equivalence_check)
-from .pqnorm import (GramSolution, RoundedPair, holder_dual, pq_norm_lb, round_gram,
-                     solve_vecp, solve_vecp_stack)
+from .pqnorm import (GramSolution, RoundedPair, holder_dual, pq_norm_lb,
+                     project_lp_ball, round_gram, solve_vecp, solve_vecp_stack)
 from .sampler import KN, derive_rng, sample_count, sample_pgauss, sample_rademacher
 from .symmetry import (BlockPartition, embed_matrix, permutation_expansion,
                        pi_transpose, rebalance_blocks, split, stack, symmetrize)
@@ -33,7 +33,7 @@ __all__ = [
     "BlockPartition", "stack", "split", "pi_transpose", "symmetrize",
     "embed_matrix", "rebalance_blocks", "permutation_expansion",
     "KN", "derive_rng", "sample_rademacher", "sample_pgauss", "sample_count",
-    "GramSolution", "RoundedPair", "holder_dual",
+    "GramSolution", "RoundedPair", "holder_dual", "project_lp_ball",
     "solve_vecp", "solve_vecp_stack", "round_gram", "pq_norm_lb",
     "MlInstance", "MlCertificate", "solve_ml", "solve_ml_d2", "relax_to_ml",
     "HpInstance", "HpCertificate", "solve_hp", "polarize_odd", "polarize_even",

@@ -96,6 +96,125 @@ def holder_dual(y, q) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# projection onto an L_s ball
+# ---------------------------------------------------------------------------
+
+def _inner_newton(a: np.ndarray, mu: float, s: float, x0=None) -> np.ndarray:
+    """Per-coordinate root of x + mu*s*x^(s-1) = a on [0, a], vectorized Newton.
+
+    For s >= 2 the map is convex in x; for s in (1, 2) it is convex in
+    u = x^(s-1).  Newton from the right endpoint is monotone, and a warm
+    start from the root at a nearby multiplier converges in a few steps.
+    """
+    if mu <= 0.0:
+        return a.copy()
+    ms = mu * s
+    if s == 1.5:
+        # z = sqrt(x) satisfies z^2 + ms*z - a = 0; rationalized positive root
+        z = 2.0 * a / (ms + np.sqrt(ms * ms + 4.0 * a))
+        return z * z
+    if s == 3.0:
+        # ms*x^2 + x - a = 0 directly
+        return 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * ms * a))
+    thr = 1e-16 * (1.0 + float(np.max(a, initial=0.0)))
+    if s >= 2.0:
+        msm = ms * (s - 1.0)
+        x = a.copy() if x0 is None else np.minimum(np.maximum(x0, 0.0), a)
+        for _ in range(40):
+            xs1 = x ** (s - 1.0)
+            f = x + ms * xs1 - a
+            fp = 1.0 + msm * xs1 / np.maximum(x, 1e-300)
+            step = f / fp
+            x = np.maximum(x - step, 0.0)
+            if float(np.max(np.abs(step))) <= thr:
+                break
+        return x
+    t = 1.0 / (s - 1.0)
+    u = a ** (s - 1.0) if x0 is None else np.maximum(x0, 0.0) ** (s - 1.0)
+    ut = u ** t
+    for _ in range(60):
+        f = ut + ms * u - a
+        fp = t * ut / np.maximum(u, 1e-300) + ms
+        step = f / fp
+        u = np.maximum(u - step, 0.0)
+        ut = u ** t
+        if float(np.max(np.abs(step))) <= thr:
+            break
+    return ut
+
+
+def project_lp_ball(y, s, *, mult_tol: float = 1e-12) -> np.ndarray:
+    """Euclidean projection of y onto {x : sum_i |x_i|^s <= 1}, s > 1.
+
+    Safeguarded Newton on the Lagrange multiplier mu: g(mu) = sum_i
+    x_i(mu)^s - 1 is decreasing; the bracket [lo, hi] starts at [0, 1]
+    (g(0) > 0 is known once y is outside the ball) and grows geometrically
+    until g(hi) <= 0.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    sf = float(s)
+    if sf <= 1.0:
+        raise DomainError(f"project_lp_ball needs s > 1, got {s}")
+    a = np.abs(y)
+    total = float(np.sum(a ** sf))
+    if total <= 1.0:
+        return y.copy()
+    if sf == 2.0:
+        return y / math.sqrt(total)
+    lo, hi = 0.0, 1.0
+    x = _inner_newton(a, hi, sf)
+    g = float(np.sum(x ** sf)) - 1.0
+    while g > 0.0:
+        lo, hi = hi, hi * 8.0
+        if hi > 1e30:
+            break
+        x = _inner_newton(a, hi, sf, x0=x)
+        g = float(np.sum(x ** sf)) - 1.0
+    mu = hi
+    mu_prev = g_prev = None
+    g_tol = max(1e-14, 1e-3 * mult_tol)
+    for _ in range(80):
+        if hi - lo <= mult_tol * max(1.0, hi) or abs(g) <= g_tol:
+            break
+        mu_new = math.nan
+        if abs(g) <= 0.5:
+            # quadratic endgame: Newton on g via the implicit derivative
+            xs1 = x ** (sf - 1.0)
+            denom = 1.0 + mu * sf * (sf - 1.0) * xs1 / np.maximum(x, 1e-300)
+            gprime = float(np.sum(-sf * sf * xs1 * xs1 / denom))
+            if gprime < 0.0:
+                mu_new = mu - g / gprime
+        if not lo < mu_new < hi:
+            # sum x^s is close to a power law in mu, so a secant step on
+            # log(sum) vs log(mu) adapts to the local slope; the first step
+            # (no second point yet) uses the far-field exponent -s/(s-1)
+            S2 = g + 1.0
+            if mu > 0.0 and S2 > 0.0:
+                if mu_prev is not None and mu_prev > 0.0 and mu_prev != mu:
+                    S1 = g_prev + 1.0
+                    if S1 > 0.0 and S1 != S2:
+                        slope = math.log(S2 / S1) / math.log(mu / mu_prev)
+                        if slope < 0.0:
+                            mu_new = mu * math.exp(-math.log(S2) / slope)
+                if not lo < mu_new < hi:
+                    mu_new = mu * S2 ** ((sf - 1.0) / sf)
+            if not lo < mu_new < hi:
+                mu_new = 0.5 * (lo + hi)
+        mu_prev, g_prev = mu, g
+        x = _inner_newton(a, mu_new, sf, x0=x)
+        g = float(np.sum(x ** sf)) - 1.0
+        mu = mu_new
+        if g > 0.0:
+            lo = mu
+        else:
+            hi = mu
+    norm = float(np.sum(x ** sf)) ** (1.0 / sf)
+    if norm > 1.0:
+        x = x / norm
+    return np.sign(y) * x
+
+
+# ---------------------------------------------------------------------------
 # the relaxation solve: block ascent on the Gram factors
 # ---------------------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from lpmax.pqnorm import (
     KRIVINE_C,
     holder_dual,
     pq_norm_lb,
+    project_lp_ball,
     round_gram,
     solve_vecp,
     solve_vecp_stack,
@@ -54,6 +55,67 @@ def test_holder_dual_survives_extreme_scales(q, scale):
     y = np.array([1.0, -2.0, 3.0])
     assert np.allclose(holder_dual(scale * y, q), holder_dual(y, q), rtol=1e-14, atol=0.0)
 
+
+
+# ---------------------------------------------------------------------------
+# L_{p/2}-ball projection
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s", [1.25, 1.5, 2.0, 3.0, 4.0])
+def test_project_lp_ball_feasible_and_idempotent(rng, s):
+    y = rng.standard_normal(8) * 3.0
+    x = project_lp_ball(y, s)
+    assert np.sum(np.abs(x) ** s) <= 1.0 + 1e-9
+    # projecting a feasible point is the identity
+    assert np.allclose(project_lp_ball(x, s), x, atol=1e-9)
+    inside = 0.1 * np.ones(4)
+    assert np.array_equal(project_lp_ball(inside, s), inside)
+
+
+@pytest.mark.parametrize("s", [1.25, 1.5, 3.0])
+def test_project_lp_ball_kkt(rng, s):
+    # stationarity: y - x is parallel to the gradient of sum |x|^s,
+    # so (y_i - x_i) / (s * sign(x_i) |x_i|^(s-1)) is a constant multiplier
+    y = rng.standard_normal(6) * 2.0 + 1.0
+    x = project_lp_ball(y, s)
+    grad = s * np.sign(x) * np.abs(x) ** (s - 1.0)
+    mask = np.abs(x) > 1e-12
+    mults = (y[mask] - x[mask]) / grad[mask]
+    assert np.max(mults) - np.min(mults) <= 1e-9 * (1.0 + np.max(np.abs(mults)))
+    assert np.min(mults) >= -1e-12
+
+
+def test_project_lp_ball_preserves_signs_and_order(rng):
+    y = np.array([-3.0, 0.5, 2.0, -0.1])
+    x = project_lp_ball(y, 1.5)
+    assert np.all(np.sign(x) == np.sign(y))
+    # shrinkage is monotone in |y|
+    assert abs(x[0]) >= abs(x[2]) >= abs(x[1]) >= abs(x[3])
+
+
+def test_project_lp_ball_euclidean_case(rng):
+    y = rng.standard_normal(5) * 4.0
+    x = project_lp_ball(y, 2.0)
+    assert np.allclose(x, y / np.linalg.norm(y))
+
+
+def test_project_lp_ball_rejects_s_at_most_one():
+    with pytest.raises(DomainError):
+        project_lp_ball(np.ones(3), 1.0)
+
+
+@pytest.mark.parametrize("s", [1.25, 1.5, 2.5, 3.0])
+def test_project_lp_ball_optimality_vs_candidates(rng, s):
+    # no feasible perturbation of the projection may be closer to y
+    y = rng.standard_normal(5) * 2.0
+    x = project_lp_ball(y, s)
+    d0 = np.sum((x - y) ** 2)
+    for _ in range(200):
+        z = x + rng.standard_normal(5) * 0.05
+        nz = np.sum(np.abs(z) ** s)
+        if nz > 1.0:
+            z = z * nz ** (-1.0 / s)
+        assert np.sum((z - y) ** 2) >= d0 - 1e-9
 
 
 # ---------------------------------------------------------------------------

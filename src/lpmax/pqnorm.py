@@ -19,6 +19,11 @@ R^(m+n), enough dimensions to factor every feasible X, and lengths l, l' in
 the unit L_p ball.  Block coordinate ascent on them (the "mixing method" of
 Wang, Chang & Kolter, arXiv:1706.00476, with Holder-dual length updates) sets
 one side to its closed-form best given the other; every iterate is feasible.
+Near an optimum of low rank the ascent can converge linearly at a rate close
+to 1, so on small matrices (m + n <= 12), from its twentieth step on, every
+tenth step of a start still ascending also tries one step from its column
+directions extrapolated toward their limit, and the start keeps it where it
+ends higher.
 The solver has one implementation, which works on a (k, m, n) stack of
 same-shape matrices: solve_vecp_stack.  Each start of each matrix keeps its
 own stopping rule and leaves the active set when it stops, and every
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +52,13 @@ KG_BOUND = math.pi / (2.0 * KRIVINE_C)  # < 1.783
 # about a dozen such arrays whatever k and N are
 _STACK_ELEMS = 1 << 13
 _SQRT_TINY = math.sqrt(_TINY)  # a smaller norm has subnormal squares
+# from step 2 * _EXTRAP_EVERY on, every _EXTRAP_EVERY-th step of a start still
+# ascending also tries an extrapolated step (see _extrapolated_step), on
+# matrices with m + n <= _EXTRAP_MAX_N: the contractions the recursion solves
+# by the dozen, whose slowest start sets the cost of the whole stack (larger
+# matrices do not try them yet; see ROADMAP item 4)
+_EXTRAP_EVERY = 10
+_EXTRAP_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -62,6 +75,21 @@ class GramSolution:
     u_lens: np.ndarray
     v_lens: np.ndarray
     value: float
+
+    @cached_property
+    def _krivine_factor(self) -> np.ndarray:
+        """Cholesky factor of the Gram matrix of the Krivine embedding of the
+        directions: every Krivine rounding of this solution draws against it,
+        so it is computed once however many roundings there are."""
+        c = KRIVINE_C
+        UU = np.clip(self.u_dirs @ self.u_dirs.T, -1.0, 1.0)
+        VV = np.clip(self.v_dirs @ self.v_dirs.T, -1.0, 1.0)
+        UV = np.clip(self.u_dirs @ self.v_dirs.T, -1.0, 1.0)
+        # the sinh/sin closed forms are exactly the inner products that make
+        # E[sign products] come out to (2c/pi) times the relaxation inner products
+        C = np.block([[np.sinh(c * UU), np.sin(c * UV)], [np.sin(c * UV).T, np.sinh(c * VV)]])
+        np.fill_diagonal(C, 1.0)
+        return _chol_psd(C)
 
 
 @dataclass(frozen=True)
@@ -244,30 +272,81 @@ def _gram_value(B, Ud, Vd, ul, vl) -> np.ndarray:
     return np.sum(B * M, axis=(1, 2))
 
 
+def _best_side(B, p, Vd, vl, Ud):
+    """Closed-form best directions and lengths of the row side given the
+    column side (Vd, vl): direction i along W_i = sum_j B_ij l'_j v_j, lengths
+    the Holder dual of the |W_i|; a row with W_i = 0 keeps its direction."""
+    W = (B * vl[:, None, :]) @ Vd
+    wn = np.linalg.norm(W, axis=2)
+    Ud = np.where((wn > 0.0)[:, :, None], W / np.maximum(wn, 1e-300)[:, :, None], Ud)
+    return Ud, _holder_lengths(wn, p)
+
+
+def _extrapolated_step(B, p, Ud, Vd, ul, vl, val, V1, V2, V3):
+    """One ascent step from column directions extrapolated toward their limit.
+
+    Near an optimum of low rank the ascent can converge linearly at a rate
+    close to 1, its directions approaching their limit V along one or two
+    slow modes, V_t ~ V + a^t Y + b^t Z, and a start then needs thousands of
+    steps to reach its plateau.  With the last steps d_t = V_t - V_t-1 (V1,
+    V2, V3 are V_t-1, V_t-2, V_t-3), minimal polynomial extrapolation fits
+    d_t + c1 d_t-1 + c0 d_t-2 = 0 by least squares and takes
+    (c0 V_t-2 + c1 V_t-1 + V_t) / (c0 + c1 + 1) as the limit; where the steps
+    are parallel (one mode) it takes Aitken's V_t + r / (1 - r) d_t, r the
+    ratio of d_t to d_t-1.  One full step from that point, rows renormalized,
+    gives a feasible point; each start keeps it only where it beats val.
+    """
+    k = len(B)
+    d2, d1, d0 = ((a - b).reshape(k, -1) for a, b in ((Vd, V1), (V1, V2), (V2, V3)))
+    g00, g01, g11 = np.vecdot(d0, d0), np.vecdot(d0, d1), np.vecdot(d1, d1)
+    r0, r1 = np.vecdot(d0, d2), np.vecdot(d1, d2)
+    rho = r1 / np.where(g11 > 0.0, g11, 1.0)
+    one = (g11 > 0.0) & (rho > 0.0) & (rho < 1.0)
+    rho = np.where(one, rho, 0.0)
+    X = Vd + (rho / (1.0 - rho))[:, None, None] * (Vd - V1)
+    det = g00 * g11 - g01 * g01
+    two = det > 1e-8 * g00 * g11
+    det = np.where(two, det, 1.0)
+    c0, c1 = (g01 * r1 - g11 * r0) / det, (g01 * r0 - g00 * r1) / det
+    s = c0 + c1 + 1.0
+    two &= np.abs(s) > 1e-6
+    c0, c1, c2 = ((c / np.where(two, s, 1.0))[:, None, None] for c in (c0, c1, 1.0))
+    X = np.where(two[:, None, None], c0 * V2 + c1 * V1 + c2 * Vd, X)
+    xn = np.linalg.norm(X, axis=2)
+    X = np.where((xn > 0.0)[:, :, None], X / np.maximum(xn, 1e-300)[:, :, None], Vd)
+    tUd, tul = _best_side(B, p, X, vl, Ud)
+    tVd, tvl = _best_side(B.swapaxes(1, 2), p, tUd, tul, X)
+    tval = _gram_value(B, tUd, tVd, tul, tvl)
+    take = (one | two) & (tval > val)
+    return (np.where(take[:, None, None], tUd, Ud), np.where(take[:, None, None], tVd, Vd),
+            np.where(take[:, None], tul, ul), np.where(take[:, None], tvl, vl),
+            np.where(take, tval, val))
+
+
 def _block_ascent(B, p, Ud, Vd, ul, vl, *, iters: int, rtol: float):
     """Alternating exact block maximization on a stack of problems.
 
     Each half step fixes one side and sets the other side's factors to their
-    closed-form best: direction i along W_i = sum_j B_ij l'_j v_j and lengths
-    the Holder dual of the |W_i|.  The value never falls and every iterate is
-    feasible.  Each problem stops at its own plateau, a gain of at most
-    rtol * (1 + |value|), or after ``iters`` steps; returns the factors, the
-    values and each problem's last gain.
+    closed-form best (_best_side).  The value never falls and every iterate
+    is feasible.  From step 2 * _EXTRAP_EVERY on, every _EXTRAP_EVERY-th step
+    also tries _extrapolated_step where m + n <= _EXTRAP_MAX_N.  Each problem stops at its own plateau, a
+    gain of at most rtol * (1 + |value|), or after ``iters`` steps; returns
+    the factors, the values and each problem's last gain.
     """
     val = _gram_value(B, Ud, Vd, ul, vl)
     gain = np.full(len(B), INF)
     res = [np.empty(a.shape) for a in (Ud, Vd, ul, vl, val, gain)]
     rows = np.arange(len(B))
-    for _ in range(iters):
-        W = (B * vl[:, None, :]) @ Vd
-        wn = np.linalg.norm(W, axis=2)
-        Ud = np.where((wn > 0.0)[:, :, None], W / np.maximum(wn, 1e-300)[:, :, None], Ud)
-        ul = _holder_lengths(wn, p)
-        W = (B.swapaxes(1, 2) * ul[:, None, :]) @ Ud
-        wn = np.linalg.norm(W, axis=2)
-        Vd = np.where((wn > 0.0)[:, :, None], W / np.maximum(wn, 1e-300)[:, :, None], Vd)
-        vl = _holder_lengths(wn, p)
+    every = _EXTRAP_EVERY if sum(B.shape[1:]) <= _EXTRAP_MAX_N else iters + 1
+    V1 = V2 = Vd  # the column directions one and two steps back
+    for t in range(1, iters + 1):
+        V3, V2, V1 = V2, V1, Vd
+        Ud, ul = _best_side(B, p, Vd, vl, Ud)
+        Vd, vl = _best_side(B.swapaxes(1, 2), p, Ud, ul, Vd)
         new_val = _gram_value(B, Ud, Vd, ul, vl)
+        if t > every and t % every == 0:
+            Ud, Vd, ul, vl, new_val = _extrapolated_step(B, p, Ud, Vd, ul, vl, new_val,
+                                                         V1, V2, V3)
         gain = new_val - val
         done = gain <= rtol * (1.0 + np.abs(new_val))
         val = np.where(done & ~(new_val > val), val, new_val)
@@ -275,8 +354,8 @@ def _block_ascent(B, p, Ud, Vd, ul, vl, *, iters: int, rtol: float):
             for r, a in zip(res, (Ud, Vd, ul, vl, val, gain)):
                 r[rows[done]] = a[done]
             keep = ~done
-            B, Ud, Vd, ul, vl, val, gain, rows = (
-                a[keep] for a in (B, Ud, Vd, ul, vl, val, gain, rows))
+            B, Ud, Vd, ul, vl, val, gain, rows, V1, V2 = (
+                a[keep] for a in (B, Ud, Vd, ul, vl, val, gain, rows, V1, V2))
             if not rows.size:
                 break
     for r, a in zip(res, (Ud, Vd, ul, vl, val, gain)):
@@ -356,7 +435,9 @@ def solve_vecp(B, p, tol: float = 1e-6, max_iter: int = 5000) -> GramSolution:
     From three fixed-seed random starts, alternately set the row factors and
     the column factors to their closed-form best given the other side until
     a step gains at most 1e-7 * tol relative or max_iter steps have run, and
-    keep the best start.  Every iterate is feasible, so the value is a lower
+    keep the best start; on matrices with m + n <= _EXTRAP_MAX_N, a start
+    still ascending after 2 * _EXTRAP_EVERY steps also tries extrapolated
+    steps (_extrapolated_step).  Every iterate is feasible, so the value is a lower
     estimate of the relaxation optimum.  This is solve_vecp_stack on a stack
     of one; it raises ConvergenceError, carrying the best point, when a start
     hits max_iter still gaining more than tol / max_iter per step.
@@ -390,17 +471,8 @@ def _trial_sign_values(B, g: GramSolution, strategy: str, trials: int, rng):
         su = np.where(G @ g.u_dirs.T >= 0.0, 1.0, -1.0)
         sv = np.where(G @ g.v_dirs.T >= 0.0, 1.0, -1.0)
     elif strategy == "krivine":
-        c = KRIVINE_C
-        UU = np.clip(g.u_dirs @ g.u_dirs.T, -1.0, 1.0)
-        VV = np.clip(g.v_dirs @ g.v_dirs.T, -1.0, 1.0)
-        UV = np.clip(g.u_dirs @ g.v_dirs.T, -1.0, 1.0)
-        # Gram matrix of the Krivine embedding: the sinh/sin closed forms are
-        # exactly the inner products that make E[sign products] come out to
-        # (2c/pi) times the relaxation inner products.
-        C = np.block([[np.sinh(c * UU), np.sin(c * UV)], [np.sin(c * UV).T, np.sinh(c * VV)]])
-        np.fill_diagonal(C, 1.0)
-        L = _chol_psd(C)
-        S = np.where(rng.standard_normal((trials, C.shape[0])) @ L.T >= 0.0, 1.0, -1.0)
+        L = g._krivine_factor
+        S = np.where(rng.standard_normal((trials, L.shape[0])) @ L.T >= 0.0, 1.0, -1.0)
         su, sv = S[:, :m], S[:, m:]
     else:
         raise DomainError(f"unknown rounding strategy {strategy!r}")

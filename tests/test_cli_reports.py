@@ -106,11 +106,11 @@ PINNED = {
     "help-ml": "15b5d1038ca101b6",
     "help-pq": "461d5586f68aab2d",
     "hp-even": "b670c0d6e8d9c2d4",
-    "hp-json": "4b85bd1a35c940a5",
+    "hp-json": "798940a46b73074e",
     "hp-oracle": "db177d63eee2b852",
     "hp-text": "51cb34746e2939c2",
-    "ml-d2-hyperplane": "8c79c1445ab7fa9d",
-    "ml-json": "6a2c5891aa70056d",
+    "ml-d2-hyperplane": "9868e2d3e30d7f28",
+    "ml-json": "b11112244e6ec191",
     "ml-oracle": "76d7221b9c40110a",
     "ml-oracle-grid": "86a06986f085d3b4",
     "ml-text": "f812006311b54624",
@@ -118,10 +118,10 @@ PINNED = {
     "oracle-ml": "5fd0fa33c2584e18",
     "oracle-ml-grid": "4c897e00193ff394",
     "oracle-pqnorm": "6cef38fa63163fb4",
-    "pq-json": "f7a1763d4a65d3e6",
+    "pq-json": "6016f65824c4819f",
     "pq-max-samples": "5d756cc66c67cedc",
-    "pq-oracle": "9b07adfdbf4acf3a",
-    "pq-text": "fb1e8768f6fb9b31",
+    "pq-oracle": "55648ec6ff284e74",
+    "pq-text": "597dffaf83e4375f",
     "symmetrize": "69a140c8512af169",
 }
 

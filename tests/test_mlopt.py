@@ -275,7 +275,7 @@ _PINNED_ML = [
         "a906b5c6c576156b8dafa08ea066bd0a15913831fc0786f077d681f2d1a918e4",
         "62a2ea5b4ca4ef4893cb5b44a07d87ff3d8fc32d841a33a834c2e0eae59f1a2c",
         "7104782d6bdc0fdba5f94a4023afa0312e8e90258a7090d2dd0743633c47cc38"]),
-    (102, (4, 3, 2), INF, dict(seed=2, trials=40), 15.625768199252253, 15.637820364066684, [
+    (102, (4, 3, 2), INF, dict(seed=2, trials=40), 15.625768199252253, 15.637820364068684, [
         "ca86087ad435069fb6add3ecb9a4a2a166da9bf8e647969cc8d6691202c67a6e",
         "a906b5c6c576156b8dafa08ea066bd0a15913831fc0786f077d681f2d1a918e4",
         "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5"]),
@@ -291,10 +291,10 @@ _PINNED_ML = [
         "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
         "e077172409ed971e7cbc8aaf3f5fc99ffd5806da65b60973369d000cf6a32fc6"]),
     (105, (3, 3, 3), 4.0, dict(seed=5, trials=24, max_samples=8),
-     5.444007712706796, 5.444007712706471, [
+     5.444007712706796, 5.444007712706797, [
         "90d76fb992c7044ae85773be3555c90a6e7c976fe2ac3b23d59fb5f5ee18e67f",
-        "d4e0f65bf254a0bde15cead694772b3faf052749aa1872a18d33ab8a262519fe",
-        "45b3e874c9239601473416d3ca0b8a728a51eb5f5e39172f91686ae970bde480"]),
+        "29fd633060219df980b9c6abb9a0fc262c8afd33f005083a2ce730a75ef35298",
+        "1d852931e827be4de887abad4c16176e9be8b78563b4ae07edc5e2cb11f4115b"]),
     (106, (3, 2, 3), 4.0, dict(seed=6, trials=24, max_samples=6),
      4.18717322261845, 4.18717322261845, [
         "0ffbe0fc95ca419815e260337ed252797063af84b59c69aca7988ef776ad92d7",

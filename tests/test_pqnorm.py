@@ -213,19 +213,36 @@ def test_solve_vecp_stack_rows_equal_solo_solves(rng, p, monkeypatch):
     assert unconverged > 0
 
 
-def test_solve_vecp_converges_where_the_ascent_turns_sublinear():
-    # near an optimum of low rank the ascent slows down sublinearly: here its
-    # starts need about 3,700 steps to gain under 1e-13 per step.  Cut off
-    # where a step still gains more than tol / max_iter the solve raises;
+def test_solve_vecp_converges_where_the_ascent_slows_down():
+    # near an optimum of low rank the plain ascent converges linearly at a rate
+    # close to 1: here its starts need about 3,700 steps to gain under 1e-13
+    # per step, and the extrapolated steps reach that plateau within 200.  Cut
+    # off where a step still gains more than tol / max_iter the solve raises;
     # cut off where it gains less, it converges, with its value inside tol
     B = np.random.default_rng(37).standard_normal((6, 6))
     full = solve_vecp(B, INF).value
     with pytest.raises(ConvergenceError) as exc:
-        solve_vecp(B, INF, max_iter=100)
+        solve_vecp(B, INF, max_iter=20)
     assert exc.value.best.value < full * (1.0 - 1e-6)
     with pytest.raises(ConvergenceError):
         solve_vecp(B, INF, max_iter=0)
     assert solve_vecp(B, INF, max_iter=1000).value >= full * (1.0 - 1e-6)
+    assert solve_vecp(B, INF, max_iter=200).value == full
+
+
+def test_extrapolated_steps_do_not_lower_the_value(monkeypatch):
+    # the extrapolated steps change where a start stops on its plateau, never
+    # by more than the plateau's own width, and lift the slow starts above
+    # where the plain ascent's gain rule stops them; a matrix with m + n above
+    # _EXTRAP_MAX_N runs the plain ascent
+    Bs = [np.random.default_rng(s).standard_normal((6, 6)) for s in (37, 38, 39)]
+    big = np.random.default_rng(40).standard_normal((7, 6))
+    fast = [solve_vecp(B, INF).value for B in Bs + [big]]
+    monkeypatch.setattr(pqnorm, "_EXTRAP_EVERY", 10 ** 9)
+    plain = [solve_vecp(B, INF).value for B in Bs + [big]]
+    assert all(f >= v * (1.0 - 1e-12) for f, v in zip(fast, plain))
+    assert fast[0] > plain[0]
+    assert fast[-1] == plain[-1]
 
 
 # relaxation values of the earlier projected-gradient/Dykstra solver on a seeded
@@ -285,9 +302,11 @@ def test_round_gram_feasible_pair(rng, strategy):
 def test_round_gram_deterministic(rng):
     B = rng.standard_normal((3, 3))
     g = solve_vecp(B, INF)
-    a = round_gram(B, g, INF, "krivine", 25, derive_rng(9, 0x51))
-    b = round_gram(B, g, INF, "krivine", 25, derive_rng(9, 0x51))
-    assert np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z) and a.value == b.value
+    # the second rounding of g reuses its Krivine factor; the copy computes its own
+    copy = pqnorm.GramSolution(g.u_dirs, g.v_dirs, g.u_lens, g.v_lens, g.value)
+    a, b, c = (round_gram(B, h, INF, "krivine", 25, derive_rng(9, 0x51)) for h in (g, g, copy))
+    for r in (b, c):
+        assert np.array_equal(a.y, r.y) and np.array_equal(a.z, r.z) and a.value == r.value
 
 
 def test_round_gram_rejects_unknown_strategy(rng):

@@ -11,13 +11,13 @@ from .hpopt import HpCertificate, HpInstance, polarize_even, polarize_odd, solve
 from .mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
 from .oracle import (OracleMethod, OracleResult, exact_ml_linf, fn_check,
                      grid_hp, grid_ml, oracle_ml, sym_equivalence_check)
-from .pqnorm import (GramSolution, RoundedPair, holder_dual, pq_norm_lb,
-                     project_lp_ball, round_gram, solve_vecp, solve_vecp_stack)
+from .pqnorm import (GramSolution, RoundedPair, pq_norm_lb, round_gram, solve_vecp,
+                     solve_vecp_stack)
 from .sampler import KN, derive_rng, sample_count, sample_pgauss, sample_rademacher
 from .symmetry import (BlockPartition, embed_matrix, permutation_expansion,
                        pi_transpose, rebalance_blocks, split, stack, symmetrize)
 from .tensor import (Tensor, as_tensor, contract, ContractionSpec, eval_multilinear,
-                     eval_poly, is_supersymmetric, load_tensor, save_tensor,
+                     eval_poly, holder_dual, is_supersymmetric, load_tensor, save_tensor,
                      tensor_from_doc, tensor_to_doc)
 from .validation import conjugate_exponent, lp_norm, parse_exponent
 
@@ -28,13 +28,13 @@ __all__ = [
     "LpmaxError", "ShapeError", "DomainError", "DegenerateInputError",
     "ResourceLimitError", "ConvergenceError", "BoundViolationError",
     "Tensor", "as_tensor", "ContractionSpec", "contract", "eval_multilinear",
-    "eval_poly", "is_supersymmetric", "tensor_to_doc", "tensor_from_doc",
+    "eval_poly", "holder_dual", "is_supersymmetric", "tensor_to_doc", "tensor_from_doc",
     "save_tensor", "load_tensor",
     "BlockPartition", "stack", "split", "pi_transpose", "symmetrize",
     "embed_matrix", "rebalance_blocks", "permutation_expansion",
     "KN", "derive_rng", "sample_rademacher", "sample_pgauss", "sample_count",
-    "GramSolution", "RoundedPair", "holder_dual", "project_lp_ball",
-    "solve_vecp", "solve_vecp_stack", "round_gram", "pq_norm_lb",
+    "GramSolution", "RoundedPair", "solve_vecp", "solve_vecp_stack", "round_gram",
+    "pq_norm_lb",
     "MlInstance", "MlCertificate", "solve_ml", "solve_ml_d2", "relax_to_ml",
     "HpInstance", "HpCertificate", "solve_hp", "polarize_odd", "polarize_even",
     "OracleMethod", "OracleResult", "exact_ml_linf", "grid_ml", "grid_hp", "oracle_ml",

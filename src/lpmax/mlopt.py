@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SolverConfig
-from .errors import DegenerateInputError, ShapeError
+from .errors import ConvergenceError, DegenerateInputError, ShapeError
 from .pqnorm import round_gram, solve_vecp, solve_vecp_stack
 from .sampler import (MASK64, STREAM_TRIALS, derive_rng, sample_count, sample_pgauss,
                       sample_rademacher)
@@ -96,8 +96,7 @@ def _key(arr: np.ndarray):
 
 def _solve_next(subs, p: float, cfg: SolverConfig, memo: dict) -> None:
     """Solve the first _STACK distinct nonzero matrices of ``subs`` missing
-    from ``memo`` as one stack; keep each solution, or None where it did not
-    converge."""
+    from ``memo`` as one stack; keep each (solution, converged) pair."""
     todo = {}
     for sub in subs:
         key = _key(sub)
@@ -106,18 +105,18 @@ def _solve_next(subs, p: float, cfg: SolverConfig, memo: dict) -> None:
             if len(todo) == _STACK:
                 break
     solved = solve_vecp_stack(np.stack(list(todo.values())), p, cfg.tol, cfg.max_iter)
-    for key, (g, converged) in zip(todo, solved):
-        memo[key] = g if converged else None
+    memo.update(zip(todo, solved))
 
 
 def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
     # not pqnorm.pq_norm_lb: the relaxation usually comes from the level's stacked solve
     key = _key(arr)
-    g = memo.get(key)
-    if g is None:
-        # never stacked (a d = 2 instance), or not converged in its stack: solved
-        # alone, which raises on non-convergence
-        g = memo[key] = solve_vecp(arr, p, cfg.tol, cfg.max_iter)
+    if key in memo:
+        g, converged = memo[key]
+        if not converged:  # the stacked row is the solo solve, which would raise the same
+            raise ConvergenceError("relaxation solve hit max_iter still gaining", best=g)
+    else:  # a d = 2 instance is never stacked; solve_vecp raises on non-convergence
+        g = solve_vecp(arr, p, cfg.tol, cfg.max_iter)
     pair = round_gram(arr, g, p, cfg.strategy, cfg.trials, rng)
     return [pair.y, pair.z], pair.value, g.value
 

@@ -4,7 +4,8 @@ Nothing here calls the randomized pipeline: values come from exhaustive
 vertex enumeration (p = inf), dense grid scans over cube surfaces radially
 mapped onto L_p spheres, or closed forms.  The last multilinear slot is never
 gridded -- for fixed partial contraction w the best remaining vector is the
-Holder dual, worth exactly ||w||_q -- which removes one exponential factor.
+Holder dual (tensor.holder_rows, which the relaxation solver's length updates
+share), worth exactly ||w||_q -- which removes one exponential factor.
 
 Every enumerated slot but the last is bound-and-pruned (see _scan_ml).
 Offers are ranked by value and then by their position in a scan in grid
@@ -32,9 +33,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ShapeError
-from .pqnorm import holder_dual
 from .symmetry import symmetrize
-from .tensor import (_TINY, SYM_TOL, as_tensor, contract_all, eval_multilinear,
+from .tensor import (SYM_TOL, as_tensor, contract_all, eval_multilinear, holder_rows,
                      is_supersymmetric, matrix_bounds, rounding_allowance, row_norms)
 from .validation import INF, check_p, conjugate_exponent
 
@@ -203,19 +203,8 @@ def _dual_vec(w, q):
     Zero contractions (zero tensors, zero slices) get a basis vector so the
     oracle argmax stays feasible with value 0.
     """
-    w = np.asarray(w, dtype=float)
-    if not w.any():
-        out = np.zeros(w.size)
-        out[0] = 1.0
-        return out
-    if q == 2.0:
-        with np.errstate(over="ignore"):
-            ss = float(w @ w)
-        if not _TINY <= ss < math.inf:  # under- or overflowed: take the norm of w / max|w|
-            w = w / np.abs(w).max()
-            ss = float(w @ w)
-        return w / math.sqrt(ss)
-    return holder_dual(w, q)
+    w = np.asarray(w, dtype=float).reshape(1, -1)
+    return holder_rows(w, q)[0] if w.any() else np.eye(1, w.size)[0]
 
 
 def _complete(arr, prefix, q):

@@ -17,13 +17,13 @@ pq_norm_lb chains the two.
 solve_vecp works on the Gram factors of X: unit directions u_i, v_j in
 R^(m+n), enough dimensions to factor every feasible X, and lengths l, l' in
 the unit L_p ball.  Block coordinate ascent on them (the "mixing method" of
-Wang, Chang & Kolter, arXiv:1706.00476, with Holder-dual length updates) sets
-one side to its closed-form best given the other; every iterate is feasible.
-Near an optimum of low rank the ascent can converge linearly at a rate close
-to 1, so on small matrices (m + n <= 12), from its twentieth step on, every
-tenth step of a start still ascending also tries one step from its column
-directions extrapolated toward their limit, and the start keeps it where it
-ends higher.
+Wang, Chang & Kolter, arXiv:1706.00476, with tensor.holder_rows as length
+update) sets one side to its closed-form best given the other; every iterate
+is feasible.  Near an optimum of low rank the ascent can converge linearly at
+a rate close to 1, so on small matrices (m + n <= 12), from its twentieth
+step on, every tenth step of a start still ascending also tries one step from
+its column directions extrapolated toward their limit, and the start keeps it
+where it ends higher.
 The solver has one implementation, which works on a (k, m, n) stack of
 same-shape matrices: solve_vecp_stack.  Each start of each matrix keeps its
 own stopping rule and leaves the active set when it stops, and every
@@ -42,7 +42,7 @@ import numpy as np
 from .config import SolverConfig
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from .sampler import STREAM_TRIALS, derive_rng
-from .tensor import _TINY
+from .tensor import _TINY, holder_rows
 from .validation import INF, as_float_array, as_matrix, check_p
 
 KRIVINE_C = math.log(1.0 + math.sqrt(2.0))  # sinh(KRIVINE_C) = 1
@@ -101,147 +101,6 @@ class RoundedPair:
     value: float
 
 
-def holder_dual(y, q) -> np.ndarray:
-    """Unit-L_p vector x (p = q/(q-1)) with x^T y = ||y||_q, for q in [1, 2).
-
-    q = 1 returns the sign vector (p = inf convention, sign(0) := +1).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    qf = float(q)
-    if not 1.0 <= qf < 2.0:
-        raise DomainError(f"holder_dual needs q in [1, 2), got {q}")
-    if not y.any():
-        raise DegenerateInputError("holder_dual of the zero vector")
-    if qf == 1.0:
-        return np.where(y >= 0, 1.0, -1.0)
-    a = np.abs(y)
-    with np.errstate(over="ignore"):
-        total = np.sum(a ** qf)
-    if not _TINY <= total < INF:  # under- or overflowed: y / max|y| has the same dual
-        a = a / a.max()
-        total = np.sum(a ** qf)
-    return np.sign(y) * (a / total ** (1.0 / qf)) ** (qf - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# projection onto an L_s ball
-# ---------------------------------------------------------------------------
-
-def _inner_newton(a: np.ndarray, mu: float, s: float, x0=None) -> np.ndarray:
-    """Per-coordinate root of x + mu*s*x^(s-1) = a on [0, a], vectorized Newton.
-
-    For s >= 2 the map is convex in x; for s in (1, 2) it is convex in
-    u = x^(s-1).  Newton from the right endpoint is monotone, and a warm
-    start from the root at a nearby multiplier converges in a few steps.
-    """
-    if mu <= 0.0:
-        return a.copy()
-    ms = mu * s
-    if s == 1.5:
-        # z = sqrt(x) satisfies z^2 + ms*z - a = 0; rationalized positive root
-        z = 2.0 * a / (ms + np.sqrt(ms * ms + 4.0 * a))
-        return z * z
-    if s == 3.0:
-        # ms*x^2 + x - a = 0 directly
-        return 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * ms * a))
-    thr = 1e-16 * (1.0 + float(np.max(a, initial=0.0)))
-    if s >= 2.0:
-        msm = ms * (s - 1.0)
-        x = a.copy() if x0 is None else np.minimum(np.maximum(x0, 0.0), a)
-        for _ in range(40):
-            xs1 = x ** (s - 1.0)
-            f = x + ms * xs1 - a
-            fp = 1.0 + msm * xs1 / np.maximum(x, 1e-300)
-            step = f / fp
-            x = np.maximum(x - step, 0.0)
-            if float(np.max(np.abs(step))) <= thr:
-                break
-        return x
-    t = 1.0 / (s - 1.0)
-    u = a ** (s - 1.0) if x0 is None else np.maximum(x0, 0.0) ** (s - 1.0)
-    ut = u ** t
-    for _ in range(60):
-        f = ut + ms * u - a
-        fp = t * ut / np.maximum(u, 1e-300) + ms
-        step = f / fp
-        u = np.maximum(u - step, 0.0)
-        ut = u ** t
-        if float(np.max(np.abs(step))) <= thr:
-            break
-    return ut
-
-
-def project_lp_ball(y, s, *, mult_tol: float = 1e-12) -> np.ndarray:
-    """Euclidean projection of y onto {x : sum_i |x_i|^s <= 1}, s > 1.
-
-    Safeguarded Newton on the Lagrange multiplier mu: g(mu) = sum_i
-    x_i(mu)^s - 1 is decreasing; the bracket [lo, hi] starts at [0, 1]
-    (g(0) > 0 is known once y is outside the ball) and grows geometrically
-    until g(hi) <= 0.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    sf = float(s)
-    if sf <= 1.0:
-        raise DomainError(f"project_lp_ball needs s > 1, got {s}")
-    a = np.abs(y)
-    total = float(np.sum(a ** sf))
-    if total <= 1.0:
-        return y.copy()
-    if sf == 2.0:
-        return y / math.sqrt(total)
-    lo, hi = 0.0, 1.0
-    x = _inner_newton(a, hi, sf)
-    g = float(np.sum(x ** sf)) - 1.0
-    while g > 0.0:
-        lo, hi = hi, hi * 8.0
-        if hi > 1e30:
-            break
-        x = _inner_newton(a, hi, sf, x0=x)
-        g = float(np.sum(x ** sf)) - 1.0
-    mu = hi
-    mu_prev = g_prev = None
-    g_tol = max(1e-14, 1e-3 * mult_tol)
-    for _ in range(80):
-        if hi - lo <= mult_tol * max(1.0, hi) or abs(g) <= g_tol:
-            break
-        mu_new = math.nan
-        if abs(g) <= 0.5:
-            # quadratic endgame: Newton on g via the implicit derivative
-            xs1 = x ** (sf - 1.0)
-            denom = 1.0 + mu * sf * (sf - 1.0) * xs1 / np.maximum(x, 1e-300)
-            gprime = float(np.sum(-sf * sf * xs1 * xs1 / denom))
-            if gprime < 0.0:
-                mu_new = mu - g / gprime
-        if not lo < mu_new < hi:
-            # sum x^s is close to a power law in mu, so a secant step on
-            # log(sum) vs log(mu) adapts to the local slope; the first step
-            # (no second point yet) uses the far-field exponent -s/(s-1)
-            S2 = g + 1.0
-            if mu > 0.0 and S2 > 0.0:
-                if mu_prev is not None and mu_prev > 0.0 and mu_prev != mu:
-                    S1 = g_prev + 1.0
-                    if S1 > 0.0 and S1 != S2:
-                        slope = math.log(S2 / S1) / math.log(mu / mu_prev)
-                        if slope < 0.0:
-                            mu_new = mu * math.exp(-math.log(S2) / slope)
-                if not lo < mu_new < hi:
-                    mu_new = mu * S2 ** ((sf - 1.0) / sf)
-            if not lo < mu_new < hi:
-                mu_new = 0.5 * (lo + hi)
-        mu_prev, g_prev = mu, g
-        x = _inner_newton(a, mu_new, sf, x0=x)
-        g = float(np.sum(x ** sf)) - 1.0
-        mu = mu_new
-        if g > 0.0:
-            lo = mu
-        else:
-            hi = mu
-    norm = float(np.sum(x ** sf)) ** (1.0 / sf)
-    if norm > 1.0:
-        x = x / norm
-    return np.sign(y) * x
-
-
 # ---------------------------------------------------------------------------
 # the relaxation solve: block ascent on the Gram factors
 # ---------------------------------------------------------------------------
@@ -252,34 +111,22 @@ def _fro(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(f, f))
 
 
-def _holder_lengths(w: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise argmax of l.w over ||l||_p <= 1, l >= 0, for w >= 0."""
-    if p == INF:
-        return np.ones_like(w)
-    q = p / (p - 1.0)
-    pos = ~(np.max(w, axis=1, initial=0.0) <= 0.0)
-    # the q-norm root stays a scalar pow: numpy's vectorized pow can round
-    # differently, and one row of a stack must equal the solve of that row
-    sums = np.sum(w ** q, axis=1).tolist()
-    nq = np.array([t ** (1.0 / q) if ok else 1.0 for t, ok in zip(sums, pos)])
-    out = (w / nq[:, None]) ** (q - 1.0)
-    out[~pos] = w.shape[1] ** (-1.0 / p)
-    return out
-
-
 def _gram_value(B, Ud, Vd, ul, vl) -> np.ndarray:
     M = (Ud * ul[:, :, None]) @ (Vd * vl[:, :, None]).swapaxes(1, 2)
     return np.sum(B * M, axis=(1, 2))
 
 
 def _best_side(B, p, Vd, vl, Ud):
-    """Closed-form best directions and lengths of the row side given the
-    column side (Vd, vl): direction i along W_i = sum_j B_ij l'_j v_j, lengths
-    the Holder dual of the |W_i|; a row with W_i = 0 keeps its direction."""
+    """Closed-form best row side given the column side (Vd, vl): direction i
+    along W_i = sum_j B_ij l'_j v_j (kept where W_i = 0), lengths the Holder
+    dual of the |W_i| (uniform where every W_i = 0)."""
     W = (B * vl[:, None, :]) @ Vd
     wn = np.linalg.norm(W, axis=2)
     Ud = np.where((wn > 0.0)[:, :, None], W / np.maximum(wn, 1e-300)[:, :, None], Ud)
-    return Ud, _holder_lengths(wn, p)
+    lens = holder_rows(wn, 1.0 if p == INF else p / (p - 1.0))
+    if p != INF and not lens.all():  # zero rows come back zero (q > 1); zeros are rare
+        lens[~wn.any(axis=1)] = wn.shape[1] ** (-1.0 / p)
+    return Ud, lens
 
 
 def _extrapolated_step(B, p, Ud, Vd, ul, vl, val, V1, V2, V3):
@@ -329,9 +176,10 @@ def _block_ascent(B, p, Ud, Vd, ul, vl, *, iters: int, rtol: float):
     Each half step fixes one side and sets the other side's factors to their
     closed-form best (_best_side).  The value never falls and every iterate
     is feasible.  From step 2 * _EXTRAP_EVERY on, every _EXTRAP_EVERY-th step
-    also tries _extrapolated_step where m + n <= _EXTRAP_MAX_N.  Each problem stops at its own plateau, a
-    gain of at most rtol * (1 + |value|), or after ``iters`` steps; returns
-    the factors, the values and each problem's last gain.
+    also tries _extrapolated_step where m + n <= _EXTRAP_MAX_N.  Each problem
+    stops at its own plateau, a gain of at most rtol * (1 + |value|), or after
+    ``iters`` steps; returns the factors, the values and each problem's last
+    gain.
     """
     val = _gram_value(B, Ud, Vd, ul, vl)
     gain = np.full(len(B), INF)
@@ -482,7 +330,8 @@ def _trial_sign_values(B, g: GramSolution, strategy: str, trials: int, rng):
     return vals, Y, Z
 
 
-def round_gram(B, g: GramSolution, p, strategy: str = "krivine", trials: int = 100, rng=None) -> RoundedPair:
+def round_gram(B, g: GramSolution, p, strategy: str = "krivine", trials: int = 100,
+               rng=None) -> RoundedPair:
     """Best feasible sign pair over ``trials`` roundings of the Gram solution.
 
     The winning pair is sign-normalized (y flipped wholesale when y^T B z < 0)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, DomainError, ResourceLimitError, ShapeError
+from .errors import (ConvergenceError, DegenerateInputError, DomainError, ResourceLimitError,
+                     ShapeError)
 from .tensor import DENSE_CAP, Tensor, as_tensor, eval_multilinear
 from .validation import INF, as_matrix, as_vector, check_p, lp_norm
 

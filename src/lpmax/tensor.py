@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, ShapeError
+from .errors import DegenerateInputError, DomainError, ResourceLimitError, ShapeError
 from .validation import INF, as_vector
 
 DENSE_CAP = 10_000_000  # default dense_cap of Tensor, tensor_from_doc and symmetrize
@@ -171,7 +171,7 @@ def is_supersymmetric(A, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cheap upper bounds on ||C||_{p->q}, shared by the oracle scans and the solver
+# row norms, Holder duals and p->q norm bounds, shared by the oracle scans and solver
 # ---------------------------------------------------------------------------
 
 def row_norms(X: np.ndarray, r: float) -> np.ndarray:
@@ -196,6 +196,46 @@ def row_norms(X: np.ndarray, r: float) -> np.ndarray:
         top = top[ok]
         out[redo[ok]] = top * np.sum((absx[ok] / top[:, None]) ** r, axis=1) ** (1.0 / r)
     return out
+
+
+def holder_rows(Y: np.ndarray, q: float) -> np.ndarray:
+    """Row-wise Holder dual for q in [1, 2]: row i is a unit-L_p vector x
+    (p = q/(q-1)) with x.Y_i = ||Y_i||_q, zero where Y_i is (q > 1); sign
+    vectors (sign(0) := +1) at q = 1, Y_i / sqrt(Y_i.Y_i) at q = 2.  A row whose
+    power sum leaves [smallest normal, inf) is taken over Y_i / max|Y_i|, which
+    has the same dual.  The root is a scalar pow per row, as numpy's vectorized
+    pow can round differently and a stacked row must equal its solo dual."""
+    if q == 1.0:
+        return np.where(Y >= 0.0, 1.0, -1.0)
+
+    def power_sums(A):  # of the rows of A = |Y|
+        return (np.vecdot(A, A) if q == 2.0 else np.sum(A ** q, axis=1)).tolist()
+
+    A = np.abs(Y)
+    with np.errstate(over="ignore"):
+        sums = power_sums(A)
+        # zero, inf and nan rows are never rescaled, so min and max may skip a nan sum
+        if not min(sums) >= _TINY or not max(sums) < INF:
+            total, top = np.array(sums), A.max(axis=1)
+            bad = ~((total >= _TINY) & (total < INF)) & (top > 0.0) & (top < INF)
+            Y = Y / np.where(bad, top, 1.0)[:, None]
+            A = np.abs(Y)
+            sums = power_sums(A)
+    if q == 2.0:
+        return Y / np.sqrt([t if t > 0.0 else 1.0 for t in sums])[:, None]
+    root = np.array([t ** (1.0 / q) if t > 0.0 else 1.0 for t in sums])
+    return np.sign(Y) * (A / root[:, None]) ** (q - 1.0)
+
+
+def holder_dual(y, q) -> np.ndarray:
+    """Unit-L_p vector x (p = q/(q-1)) with x^T y = ||y||_q, for q in [1, 2)
+    and y != 0: holder_rows of the one row y."""
+    y = np.asarray(y, dtype=np.float64)
+    if not 1.0 <= float(q) < 2.0:
+        raise DomainError(f"holder_dual needs q in [1, 2), got {q}")
+    if not y.any():
+        raise DegenerateInputError("holder_dual of the zero vector")
+    return holder_rows(y.reshape(1, -1), float(q)).reshape(y.shape)
 
 
 def matrix_bounds(C: np.ndarray, q: float, steps: int = 0) -> np.ndarray:

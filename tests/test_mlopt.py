@@ -9,7 +9,7 @@ from lpmax.config import SolverConfig
 from lpmax.errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from lpmax.hpopt import HpInstance, solve_hp
 from lpmax.mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
-from lpmax.pqnorm import KG_BOUND, pq_norm_lb, round_gram, solve_vecp_stack
+from lpmax.pqnorm import KG_BOUND, GramSolution, pq_norm_lb, round_gram, solve_vecp_stack
 from lpmax.sampler import derive_rng, sample_count
 from lpmax.tensor import eval_multilinear, matrix_bounds, rounding_allowance
 from lpmax.validation import INF, conjugate_exponent, lp_norm
@@ -139,7 +139,10 @@ def test_convergence_error_propagates_and_is_not_kept(rng, monkeypatch):
     inst = MlInstance(rng.standard_normal((3, 2, 2)), INF, small_cfg(seed=3))
     expected = solve_ml(inst)
 
+    solo_calls = []
+
     def failing(*args, **kwargs):
+        solo_calls.append(args)
         raise ConvergenceError("iteration cap hit")
 
     def unconverged(*args, **kwargs):
@@ -147,8 +150,11 @@ def test_convergence_error_propagates_and_is_not_kept(rng, monkeypatch):
 
     monkeypatch.setattr(mlopt, "solve_vecp", failing)
     monkeypatch.setattr(mlopt, "solve_vecp_stack", unconverged)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as exc:
         solve_ml(inst)
+    # raised from the stacked solve, whose row is the solo solve: no second solve
+    assert solo_calls == []
+    assert isinstance(exc.value.best, GramSolution)
     monkeypatch.undo()
     again = solve_ml(inst)
     assert again.value == expected.value

@@ -12,6 +12,7 @@ from lpmax.tensor import (
     contract,
     eval_multilinear,
     eval_poly,
+    holder_rows,
     is_supersymmetric,
     load_tensor,
     row_norms,
@@ -19,6 +20,8 @@ from lpmax.tensor import (
     tensor_from_doc,
     tensor_to_doc,
 )
+
+from lpmax.validation import INF, lp_norm
 
 from conftest import perm_avg, random_supersym
 
@@ -166,6 +169,28 @@ def test_row_norms_rescale_only_rows_out_of_range(r):
         ref = np.ldexp(np.sum(np.abs(back) ** r) ** (1.0 / r), exps[i])
         assert out[i] == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert out[4] == 0.0 and out[5] == np.inf and np.isnan(out[6])
+
+
+@pytest.mark.parametrize("q", [1.0, 4.0 / 3.0, 1.5, 2.0])
+def test_holder_rows_stack_equals_one_row_calls(q):
+    # rows 1 and 3 have power sums that over- and underflow, row 5 is zero
+    rng = np.random.default_rng(35)
+    Y = rng.standard_normal((8, 5))
+    Y[1] *= 1e300
+    Y[3] *= 1e-300
+    Y[5] = 0.0
+    out = holder_rows(Y, q)
+    solo = np.concatenate([holder_rows(Y[i:i + 1], q) for i in range(len(Y))])
+    assert out.tobytes() == solo.tobytes()
+    plain = holder_rows(Y[[0, 2, 4, 6, 7]], q)
+    assert out[[0, 2, 4, 6, 7]].tobytes() == plain.tobytes()
+    for i, scale in ((1, 1e300), (3, 1e-300)):
+        assert np.allclose(out[i], holder_rows(Y[i:i + 1] / scale, q)[0], rtol=1e-14, atol=0.0)
+    assert np.array_equal(out[5], np.ones(5) if q == 1.0 else np.zeros(5))
+    p = INF if q == 1.0 else q / (q - 1.0)
+    for i in (0, 2, 4, 6, 7):
+        assert abs(lp_norm(out[i], p) - 1.0) <= 1e-12
+        assert out[i] @ Y[i] == pytest.approx(lp_norm(Y[i], q), rel=1e-12)
 
 
 def test_doc_roundtrip(rng):

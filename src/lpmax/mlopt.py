@@ -10,17 +10,17 @@ from (seed, path, index), so enlarging M never changes earlier candidates
 and the best value is monotone in M.
 
 Each level is bound-and-pruned.  Every candidate gets an upper bound on all
-it can score: where the candidates contract to matrices C, the
-:func:`lpmax.tensor.matrix_bounds` bound on ||C||_{p->q}, tightened by
-_DUAL_STEPS steps on the relaxation's dual, plus a rounding allowance; it
-caps both the rounded value and the value of every feasible point of C's
-relaxation.  On deeper levels the bound is inf.  The dual steps bring the
-bound to within about 1 % of the relaxation value, so the first stack of
-solves holds nearly every candidate that can win, and a level's cost does
-not swing with how loose its bounds happen to be.  Candidates are
-visited in descending-bound order, ties by index, and the level stops at the
-first bound strictly below both the best rounded value and the best
-relaxation value found so far.  No skipped candidate could win, tie the
+it can score, :func:`lpmax.tensor.slot_bounds`: the p->q bound on the
+(slot 2 | rest) unfolding of its contraction, tightened by _DUAL_STEPS steps
+on the relaxation's dual, plus a rounding allowance; at every order it caps
+both the rounded value and the value of every feasible point of each
+relaxation solved below the candidate.  Where the candidates contract to
+matrices, the dual steps bring the bound to within about 1 % of the
+relaxation value, so the first stack of solves holds nearly every candidate
+that can win, and a level's cost does not swing with how loose its bounds
+happen to be.  Candidates are visited in descending-bound order, ties by
+index, and the level stops at the first bound strictly below both the best
+rounded value and the best relaxation value found so far.  No skipped candidate could win, tie the
 winner or raise relax_value, so xs, value and relax_value are those of a
 level that solves every candidate.  The distinct matrices not yet solved go
 to stacked relaxation solves (:func:`lpmax.pqnorm.solve_vecp_stack`), _STACK
@@ -39,12 +39,12 @@ from .errors import ConvergenceError, DegenerateInputError, ShapeError
 from .pqnorm import round_gram, solve_vecp, solve_vecp_stack
 from .sampler import (MASK64, STREAM_TRIALS, derive_rng, sample_count, sample_pgauss,
                       sample_rademacher)
-from .tensor import Tensor, as_tensor, eval_multilinear, matrix_bounds, rounding_allowance
+from .tensor import Tensor, as_tensor, eval_multilinear, slot_bounds
 from .validation import INF, check_p, conjugate_exponent
 
 _STREAM_CANDIDATE = 0x52
 _STACK = 16  # distinct matrices per stacked relaxation solve of a candidate level
-_DUAL_STEPS = 20  # dual steps that tighten each candidate's bound (tensor.matrix_bounds)
+_DUAL_STEPS = 20  # dual steps that tighten each candidate's bound (tensor.slot_bounds)
 
 
 @dataclass(frozen=True)
@@ -121,18 +121,6 @@ def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
     return [pair.y, pair.z], pair.value, g.value
 
 
-def _bounds(arr: np.ndarray, xis: list, subs: list, p: float) -> np.ndarray:
-    """Upper bound, rounding allowance included, on every value and relaxation
-    value a candidate can reach: tensor.matrix_bounds where the candidates
-    contract to matrices, inf otherwise; a nan bound is inf."""
-    if arr.ndim != 3:
-        return np.full(len(xis), np.inf)
-    q = conjugate_exponent(p)
-    bounds = (matrix_bounds(np.stack(subs), q, _DUAL_STEPS)
-              + rounding_allowance(arr, np.stack(xis), q))
-    return np.where(np.isnan(bounds), np.inf, bounds)
-
-
 def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tuple,
                memo: dict):
     d = arr.ndim
@@ -143,7 +131,7 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
     xis = [_candidate_vector(n1, p, derive_rng(root, *path, _STREAM_CANDIDATE, i))
            for i in range(M)]
     subs = [np.tensordot(arr, xi, axes=(0, 0)) for xi in xis]
-    bounds = _bounds(arr, xis, subs, p)
+    bounds = slot_bounds(arr, np.stack(xis), conjugate_exponent(p), _DUAL_STEPS)
     order = sorted(range(M), key=lambda i: (-bounds[i], i))
     best, best_value, relax_value = None, -np.inf, -np.inf
     for k, i in enumerate(order):

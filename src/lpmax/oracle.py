@@ -35,13 +35,13 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, ShapeError
 from .symmetry import symmetrize
 from .tensor import (SYM_TOL, as_tensor, contract_all, eval_multilinear, holder_rows,
-                     is_supersymmetric, matrix_bounds, rounding_allowance, row_norms)
+                     is_supersymmetric, rounding_allowance, row_norms, slot_bounds)
 from .validation import INF, check_p, conjugate_exponent
 
 GRID_BUDGET = 10 ** 8
 _SIGN_GATE = 24  # vertex enumeration allowed while sum(dims) <= 24
 _CHUNK = 1 << 16
-# dual steps that tighten a scan row's bound (tensor.matrix_bounds): 16 seeded
+# dual steps that tighten a scan row's bound (tensor.slot_bounds): 16 seeded
 # 3x3x3 grid_ml calls (p = 3 and 4, steps 33, refine 6; 2 vCPU, one BLAS
 # thread) took 9.6 s in total when visited in grid order under the cheap
 # bound alone; visited best first, they took 3.5 s with 2 steps, 3.0-3.2 s
@@ -233,40 +233,24 @@ def _slot_sources(slots):
     return sources
 
 
-def _row_bounds(block, arr, q, steps=0):
-    """Upper bound on ||S_r||_{p->q} (p = q*) for each row r of block, S_r the
-    (first slot | rest) flattening of arr contracted with r: the
-    tensor.matrix_bounds of the stack of S_r with ``steps`` dual steps, built
-    8 MiB at a time."""
-    flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
-    step = max(1, _CHUNK * 16 // flat[0].size)
-    out = np.empty(len(block))
-    for i in range(0, len(block), step):
-        S = np.tensordot(block[i:i + step], flat, axes=(1, 0))
-        out[i:i + step] = matrix_bounds(S, q, steps)
-    return out
-
-
 def _best_first(block, arr, q, top, tighten):
     """Indices of the rows of block to visit, best bound first and ties by
     index, up to the first bound strictly under top.floor.
 
     A row's bound, which caps every offer computed below it, is its cheap
-    _row_bounds bound plus a rounding allowance; a nan bound (an overflowed
-    allowance) is read as inf.  With ``tighten``, once top holds k offers
-    and after a visit, the rows still at or above the floor get the least of
-    that bound and their _row_bounds bound with _SCAN_DUAL_STEPS dual steps
-    (plus the same allowance), and the rest are visited in that order.  Rows
-    of inf bound keep it: it comes from an overflow, which the dual steps do
-    not bound either; so do rows whose allowance alone reaches the floor, as
-    no tightening can take them under it.  Fewer than _SCAN_DUAL_STEPS rows
-    left to tighten are not tightened: the fixed cost of the dual steps, one
-    stacked eigenproblem each, then outweighs the visits they can save (on
-    d = 4 and 5 grids of 8 to 16 rows a slot, it did).  The floor is read
+    tensor.slot_bounds bound.  With ``tighten``, once top holds k offers and
+    after a visit, the rows still at or above the floor get the least of
+    that bound and their slot_bounds bound with _SCAN_DUAL_STEPS dual steps,
+    and the rest are visited in that order.  Rows of inf bound keep it: it
+    comes from an overflow, which the dual steps do not bound either; so do
+    rows whose rounding allowance alone reaches the floor, as no tightening
+    can take them under it.  Fewer than _SCAN_DUAL_STEPS rows left to
+    tighten are not tightened: the fixed cost of the dual steps, one stacked
+    eigenproblem each, then outweighs the visits they can save (on d = 4 and
+    5 grids of 8 to 16 rows a slot, it did).  The floor is read
     again before every visit, as the offers of each visit can raise it."""
     allowance = rounding_allowance(arr, block, q)
-    bounds = _row_bounds(block, arr, q) + allowance
-    bounds[np.isnan(bounds)] = np.inf
+    bounds = slot_bounds(arr, block, q)
     order = np.argsort(-bounds, kind="stable")
     while order.size and bounds[order[0]] >= top.floor:
         yield int(order[0])
@@ -277,9 +261,8 @@ def _best_first(block, arr, q, top, tighten):
             live = order[(bounds[order] >= floor) & (bounds[order] < math.inf)
                          & (allowance[order] < floor)]
             if live.size >= _SCAN_DUAL_STEPS:
-                # fmin: a nan tightened bound keeps the cheap one
-                bounds[live] = np.fmin(bounds[live], allowance[live] + _row_bounds(
-                    block[live], arr, q, _SCAN_DUAL_STEPS))
+                bounds[live] = np.minimum(bounds[live], slot_bounds(
+                    arr, block[live], q, _SCAN_DUAL_STEPS))
                 order = order[bounds[order] >= floor]
                 order = order[np.lexsort((order, -bounds[order]))]
 

@@ -24,10 +24,11 @@ SYM_TOL = 1e-9  # asymmetry polynomial inputs may carry, relative to 1 + max|a|
 # A bound of matrix_bounds and a value computed under it sum the same products
 # in different orders, so they round apart by at most about (terms summed) *
 # 2^-53 times the same sums of absolute values; _BOUND_SLACK covers that
-# factor.  Where a q-th power is subnormal the error is absolute, under
-# _BOUND_TINY.
+# factor.  matrix_bounds and row_norms rescale every sum that would under- or
+# overflow, so only subnormal results round by an absolute amount, at most
+# 2^-1075 (about 2.5e-324) per operation; _BOUND_TINY covers 10^23 of them.
 _BOUND_SLACK = 1e-9
-_BOUND_TINY = 1e-150
+_BOUND_TINY = 1e-300
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
@@ -291,6 +292,27 @@ def _dual_descent(U: np.ndarray, r: float, steps: int) -> np.ndarray:
         la = np.maximum(la - la.max(axis=1, keepdims=True), -50.0)
         lb = np.maximum(lb - lb.max(axis=1, keepdims=True), -50.0)
     return best
+
+
+def slot_bounds(arr: np.ndarray, X: np.ndarray, q: float, steps: int = 0) -> np.ndarray:
+    """Upper bound on every value, and every relaxation value, reachable below
+    arr (order >= 3) contracted in its first slot with each row r of X
+    (p = q*, q in [1, 2]): the matrix_bounds bound, with ``steps`` dual steps,
+    on S_r, the (slot 2 | rest) unfolding of that contraction, built 8 MiB at
+    a time, plus rounding_allowance; a nan bound (an overflowed allowance) is
+    inf.  Sound at every order: ||x (x) y||_p = ||x||_p ||y||_p, so
+    ||S_r||_{p->q} caps every value below r, and the relaxation of a deeper
+    matrix A(r, x_2, .., ., .) embeds in S_r's (row lengths |x_2| and
+    directions +-w, column lengths the products of the later lengths, column
+    directions b with <w, b> = +-<u_j, v_k>)."""
+    flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
+    step = max(1, (1 << 20) // flat[0].size)  # 2^20 doubles of contractions at a time
+    out = np.empty(len(X))
+    for i in range(0, len(X), step):
+        out[i:i + step] = matrix_bounds(np.tensordot(X[i:i + step], flat, axes=(1, 0)), q, steps)
+    out += rounding_allowance(arr, X, q)
+    out[np.isnan(out)] = np.inf
+    return out
 
 
 def rounding_allowance(arr: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:

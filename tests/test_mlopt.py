@@ -9,9 +9,10 @@ from lpmax.config import SolverConfig
 from lpmax.errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from lpmax.hpopt import HpInstance, solve_hp
 from lpmax.mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
+from lpmax.oracle import exact_ml_linf
 from lpmax.pqnorm import KG_BOUND, GramSolution, pq_norm_lb, round_gram, solve_vecp_stack
 from lpmax.sampler import derive_rng, sample_count
-from lpmax.tensor import eval_multilinear, matrix_bounds, rounding_allowance
+from lpmax.tensor import eval_multilinear, matrix_bounds, rounding_allowance, slot_bounds
 from lpmax.validation import INF, conjugate_exponent, lp_norm
 
 from conftest import random_supersym
@@ -183,25 +184,67 @@ def _kind_tensor(kind, dims, seed):
     return A
 
 
-# every (kind, scale) pair once; p cycles through {3, 7/2, 4, inf} at d = 3, then at d = 4
+# every (kind, scale) pair once; p cycles through {3, 7/2, 4, inf} at d = 3, then at d = 4;
+# then each scale once at d = 5
 _PRUNE_CASES = [(kind, scale, 3 + k // 4 % 2, (3.0, 3.5, 4.0, INF)[k % 4])
                 for k, (kind, scale) in enumerate(itertools.product(
-                    ("gauss", "rank-one", "zero-slice"), _SCALES))]
+                    ("gauss", "rank-one", "zero-slice"), _SCALES))] + [
+    ("gauss", 1.0, 5, 4.0), ("rank-one", 1e-170, 5, INF), ("zero-slice", 1e160, 5, 4.0)]
+_PRUNE_DIMS = {3: (4, 3, 3), 4: (3, 2, 2, 3), 5: (2, 3, 2, 2, 2)}
 
 
 @pytest.mark.parametrize("kind,scale,d,p", _PRUNE_CASES)
 def test_pruned_levels_equal_unpruned_levels(monkeypatch, kind, scale, d, p):
-    dims = (4, 3, 3) if d == 3 else (3, 2, 2, 3)
+    dims = _PRUNE_DIMS[d]
     samples = {3.0: 8, 3.5: 6}.get(p, 24) // (d - 2)  # p = 3 and 7/2 solve slowly
     A = scale * _kind_tensor(kind, dims, 311 + d)
     inst = MlInstance(A, p, SolverConfig(seed=d, trials=24, max_samples=samples))
     pruned = solve_ml(inst)
     # every bound +inf: each level solves every candidate, in index order
-    monkeypatch.setattr(mlopt, "_bounds", lambda arr, xis, subs, p: np.full(len(xis), np.inf))
+    monkeypatch.setattr(mlopt, "slot_bounds", lambda arr, X, q, steps: np.full(len(X), np.inf))
     full = solve_ml(inst)
     assert [x.tobytes() for x in pruned.xs] == [x.tobytes() for x in full.xs]
     assert pruned.value == full.value
     assert pruned.relax_value == full.relax_value
+
+
+def test_order_four_top_level_prunes(monkeypatch):
+    # the top level bounds each candidate's order-3 contraction by its
+    # (slot 2 | rest) unfolding; solving every candidate recurses into all 24
+    recursed = []
+    solve_rec = mlopt._solve_rec
+
+    def recording(arr, p, cfg, root, path, memo):
+        if len(path) == 1:
+            recursed.append(path[0])
+        return solve_rec(arr, p, cfg, root, path, memo)
+
+    monkeypatch.setattr(mlopt, "_solve_rec", recording)
+    A = np.random.default_rng(1).standard_normal((3, 2, 2, 3))
+    cert = solve_ml(MlInstance(A, 4.0, SolverConfig(seed=1, max_samples=24)))
+    assert cert.trials_used == 24
+    assert 0 < len(recursed) < 24
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+def test_slot_bound_caps_order_three_candidates(scale):
+    # what solve_ml reaches at p = 4 and the exact optimum at p = inf, below
+    # each candidate of an order-4 level
+    rng = np.random.default_rng(330)
+    for k, dims in enumerate([(3, 2, 2, 3), (2, 3, 2, 2), (3, 3, 2, 2)]):
+        A = scale * rng.standard_normal(dims)
+        signs = rng.choice([-1.0, 1.0], size=(4, dims[0]))
+        gauss = rng.standard_normal((4, dims[0]))
+        gauss /= np.sum(gauss ** 4, axis=1, keepdims=True) ** 0.25
+        for p, X in ((INF, signs), (4.0, gauss)):
+            bounds = slot_bounds(A, X, conjugate_exponent(p), mlopt._DUAL_STEPS)
+            for x, bound in zip(X, bounds):
+                sub = np.tensordot(A, x, axes=(0, 0))
+                if p == INF:
+                    assert bound >= exact_ml_linf(sub).value, (dims, x)
+                else:
+                    cert = solve_ml(MlInstance(sub, p, small_cfg(k)))
+                    assert bound >= cert.value and bound >= cert.relax_value, (dims, x)
 
 
 @pytest.mark.parametrize("scale", _SCALES)
@@ -237,8 +280,8 @@ def test_dual_steps_bring_the_bound_near_the_relaxation(p):
     assert np.median(tight) < 1.01 and tight.max() < 1.05
 
 
-def test_pruning_solves_few_candidate_relaxations(monkeypatch):
-    # solving every candidate of this level takes 207 relaxations
+def _stack_rows(monkeypatch, inst):
+    """solve_ml(inst) and the number of matrices in each stacked relaxation solve."""
     rows = []
 
     def counting(Bs, *args, **kwargs):
@@ -246,8 +289,13 @@ def test_pruning_solves_few_candidate_relaxations(monkeypatch):
         return solve_vecp_stack(Bs, *args, **kwargs)
 
     monkeypatch.setattr(mlopt, "solve_vecp_stack", counting)
+    return solve_ml(inst), rows
+
+
+def test_pruning_solves_few_candidate_relaxations(monkeypatch):
+    # solving every candidate of this level takes 207 relaxations
     A = np.random.default_rng(1).standard_normal((4, 5, 3))
-    cert = solve_ml(MlInstance(A, 4.0, SolverConfig(seed=1)))
+    cert, rows = _stack_rows(monkeypatch, MlInstance(A, 4.0, SolverConfig(seed=1)))
     assert cert.trials_used == 207
     assert max(rows) <= mlopt._STACK
     assert sum(rows) <= 48
@@ -257,16 +305,19 @@ def test_pruning_solves_few_candidate_relaxations(monkeypatch):
 def test_p4_candidate_level_solves_one_stack(monkeypatch, seed):
     # with bounds this tight the first stack holds every candidate that can
     # win, so a level's cost does not swing with how loose its bounds are
-    rows = []
-
-    def counting(Bs, *args, **kwargs):
-        rows.append(len(Bs))
-        return solve_vecp_stack(Bs, *args, **kwargs)
-
-    monkeypatch.setattr(mlopt, "solve_vecp_stack", counting)
     A = np.random.default_rng(320 + seed).standard_normal((4, 5, 3))
-    solve_ml(MlInstance(A, 4.0, SolverConfig(seed=seed)))
+    _, rows = _stack_rows(monkeypatch, MlInstance(A, 4.0, SolverConfig(seed=seed)))
     assert rows == [mlopt._STACK]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-170, 1e-250])
+def test_tiny_tensors_prune_as_at_scale_one(monkeypatch, scale):
+    # the rounding allowance must not swamp the bounds of a tiny tensor
+    A = np.random.default_rng(7001).standard_normal((4, 5, 3))
+    cfg = SolverConfig(seed=7001)
+    _, unit = _stack_rows(monkeypatch, MlInstance(A, 4.0, cfg))
+    _, tiny = _stack_rows(monkeypatch, MlInstance(scale * A, 4.0, cfg))
+    assert sum(tiny) == sum(unit)
 
 
 def _digests(xs):
@@ -309,7 +360,8 @@ _PINNED_ML = [
 ]
 
 
-@pytest.mark.parametrize("seed,dims,p,kw,value,relax,digests", _PINNED_ML)
+@pytest.mark.parametrize("seed,dims,p,kw,value,relax,digests", _PINNED_ML,
+                         ids=[str(case[0]) for case in _PINNED_ML])  # the data seed
 def test_pinned_ml_certificates(seed, dims, p, kw, value, relax, digests):
     A = np.random.default_rng(seed).standard_normal(dims)
     cert = solve_ml(MlInstance(A, p, SolverConfig(**kw)))

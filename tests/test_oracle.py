@@ -196,8 +196,7 @@ def test_grid_ml_builds_each_inner_slot_once(monkeypatch, dims, steps, calls):
 # ---------------------------------------------------------------------------
 
 def _matrix_bound(C, p, steps=0):
-    # a one-row block on the stack C[None] makes S_r the matrix C itself
-    return oracle._row_bounds(np.ones((1, 1)), C[None], conjugate_exponent(p), steps)[0]
+    return tensor.matrix_bounds(C[None], conjugate_exponent(p), steps)[0]
 
 
 def _bound_corpus():
@@ -313,7 +312,7 @@ def test_pruned_scan_keeps_the_full_scans_top_k(monkeypatch, call):
 
     monkeypatch.setattr(oracle, "_TopK", Recording)
     call()
-    monkeypatch.setattr(oracle, "_row_bounds", lambda block, arr, q: np.full(len(block), np.inf))
+    monkeypatch.setattr(oracle, "slot_bounds", lambda arr, X, q, steps=0: np.full(len(X), np.inf))
     call()
     pruned, full = ([(v, [x.tobytes() for x in xs]) for v, xs in top.items] for top in tops)
     assert pruned == full
@@ -355,14 +354,15 @@ def test_row_bounds_memory_is_bounded():
     arr = rng.standard_normal((3, 3, 2000))
     tracemalloc.start()
     try:
-        bounds = oracle._row_bounds(block, arr, 1.0)
+        bounds = tensor.slot_bounds(arr, block, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     for i in (0, 12345, len(block) - 1):  # rows of the first, a middle and the last sub-block
         S = np.tensordot(block[i], arr, axes=(0, 0))
-        assert bounds[i] == pytest.approx(_matrix_bound(S, INF), rel=1e-12)
+        allowance = tensor.rounding_allowance(arr, block[i:i + 1], 1.0)[0]
+        assert bounds[i] == pytest.approx(_matrix_bound(S, INF) + allowance, rel=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 2, 2)])

@@ -53,11 +53,14 @@ def test_oracle_imports_no_solver():
 
 def test_shared_bound_sits_in_the_base_layer():
     # the solver prunes by the oracle scans' bound, so it lives in tensor, which
-    # both may import, and the solver never reaches into the oracle
+    # both may import, and the solver never reaches into the oracle; both take
+    # the whole bound from its one kernel and never build it from matrix_bounds
     modules = {path.stem for path in SRC.glob("*.py")}
-    assert "oracle" not in _import_parts("mlopt.py")
+    mlopt_parts, oracle_parts = _import_parts("mlopt.py"), _import_parts("oracle.py")
+    assert "oracle" not in mlopt_parts
     tensor_parts = _import_parts("tensor.py")
-    assert "matrix_bounds" in _import_parts("mlopt.py") & _import_parts("oracle.py")
+    assert "slot_bounds" in mlopt_parts & oracle_parts
+    assert "matrix_bounds" not in mlopt_parts | oracle_parts
     assert "validation" in tensor_parts  # the walk sees the imports
     assert tensor_parts & modules <= {"errors", "validation"}
 

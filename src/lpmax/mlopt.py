@@ -9,6 +9,13 @@ recursive solution scores best.  The per-candidate RNG streams are derived
 from (seed, path, index), so enlarging M never changes earlier candidates
 and the best value is monotone in M.
 
+Each distinct candidate of a level is contracted once, and bounded once up
+to sign, as a row's bound depends on that row alone and not on its sign.
+At p = inf an n-coordinate slot has only 2^(n-1) sign vectors up to sign,
+so most of the M draws repeat one drawn before.  Each repeat still keeps
+its own stream, its own rounding and its own place in the visiting order
+below.
+
 Each level is bound-and-pruned.  Every candidate gets an upper bound on all
 it can score, :func:`lpmax.tensor.slot_bounds`: the p->q bound on the
 (slot 2 | rest) unfolding of its contraction, tightened by _DUAL_STEPS steps
@@ -39,7 +46,7 @@ from .errors import ConvergenceError, DegenerateInputError, ShapeError
 from .pqnorm import round_gram, solve_vecp, solve_vecp_stack
 from .sampler import (MASK64, STREAM_TRIALS, derive_rng, sample_count, sample_pgauss,
                       sample_rademacher)
-from .tensor import Tensor, as_tensor, eval_multilinear, slot_bounds
+from .tensor import Tensor, as_tensor, contract_first, eval_multilinear, slot_bounds
 from .validation import INF, check_p, conjugate_exponent
 
 _STREAM_CANDIDATE = 0x52
@@ -130,8 +137,18 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
     M = sample_count(n1, p, amplified=True, max_samples=cfg.max_samples)
     xis = [_candidate_vector(n1, p, derive_rng(root, *path, _STREAM_CANDIDATE, i))
            for i in range(M)]
-    subs = [np.tensordot(arr, xi, axes=(0, 0)) for xi in xis]
-    bounds = slot_bounds(arr, np.stack(xis), conjugate_exponent(p), _DUAL_STEPS)
+    keys = [xi.tobytes() for xi in xis]
+    # each distinct candidate is contracted once and bounded once up to sign
+    contracted, where, rows = {}, {}, []
+    for xi, key in zip(xis, keys):
+        if key not in contracted:
+            contracted[key] = contract_first(arr, xi)
+            if key not in where:
+                where[key] = where[(-xi).tobytes()] = len(rows)
+                rows.append(xi)
+    subs = [contracted[key] for key in keys]
+    bounds = slot_bounds(arr, np.stack(rows), conjugate_exponent(p), _DUAL_STEPS)
+    bounds = bounds[[where[key] for key in keys]]
     order = sorted(range(M), key=lambda i: (-bounds[i], i))
     best, best_value, relax_value = None, -np.inf, -np.inf
     for k, i in enumerate(order):

@@ -34,8 +34,9 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ShapeError
 from .symmetry import symmetrize
-from .tensor import (SYM_TOL, as_tensor, contract_all, eval_multilinear, holder_rows,
-                     is_supersymmetric, rounding_allowance, row_norms, slot_bounds)
+from .tensor import (SYM_TOL, as_tensor, contract_all, contract_first, eval_multilinear,
+                     holder_rows, is_supersymmetric, rounding_allowance, row_norms,
+                     slot_bounds)
 from .validation import INF, check_p, conjugate_exponent
 
 GRID_BUDGET = 10 ** 8
@@ -212,7 +213,7 @@ def _complete(arr, prefix, q):
     last slot for those fixed slots."""
     w = arr
     for x in prefix:
-        w = np.tensordot(w, x, axes=(0, 0))
+        w = contract_first(w, x)
     return tuple(prefix) + (_dual_vec(w, q),)
 
 
@@ -299,7 +300,7 @@ def _scan_ml(arr, slots, q, top, prefix=(), pos=()):
     for block in blocks():
         for i in _best_first(block, arr, q, top, tighten):
             row = block[i]
-            sub = np.tensordot(arr, row, axes=(0, 0))
+            sub = contract_first(arr, row)
             _scan_ml(sub, slots[1:], q, top, prefix + (row.copy(),), pos + (start + i,))
         start += len(block)
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 
@@ -189,7 +190,9 @@ def _kind_tensor(kind, dims, seed):
 _PRUNE_CASES = [(kind, scale, 3 + k // 4 % 2, (3.0, 3.5, 4.0, INF)[k % 4])
                 for k, (kind, scale) in enumerate(itertools.product(
                     ("gauss", "rank-one", "zero-slice"), _SCALES))] + [
-    ("gauss", 1.0, 5, 4.0), ("rank-one", 1e-170, 5, INF), ("zero-slice", 1e160, 5, 4.0)]
+    ("gauss", 1.0, 5, 4.0), ("rank-one", 1e-170, 5, INF), ("zero-slice", 1e160, 5, 4.0),
+    # p = inf with more candidates than sign vectors: levels that draw repeats
+    ("gauss", 1.0, 3, INF), ("zero-slice", 1e160, 4, INF)]
 _PRUNE_DIMS = {3: (4, 3, 3), 4: (3, 2, 2, 3), 5: (2, 3, 2, 2, 2)}
 
 
@@ -206,6 +209,70 @@ def test_pruned_levels_equal_unpruned_levels(monkeypatch, kind, scale, d, p):
     assert [x.tobytes() for x in pruned.xs] == [x.tobytes() for x in full.xs]
     assert pruned.value == full.value
     assert pruned.relax_value == full.relax_value
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+def test_slot_bounds_ignore_the_rows_sign(scale):
+    # a level bounds each candidate once up to sign, so -x must get x's bound bit for bit
+    rng = np.random.default_rng(341)
+    for kind, dims in itertools.product(("gauss", "rank-one", "zero-slice"),
+                                        ((4, 3, 3), (3, 2, 2, 3))):
+        A = scale * _kind_tensor(kind, dims, 341 + len(dims))
+        for q in (1.0, 4.0 / 3.0, 1.5):
+            X = rng.standard_normal((6, dims[0]))
+            if q == 1.0:
+                X = np.sign(X)
+            for steps in (0, mlopt._DUAL_STEPS):
+                assert slot_bounds(A, -X, q, steps).tobytes() == \
+                    slot_bounds(A, X, q, steps).tobytes(), (kind, dims, q, steps)
+
+
+def _level_work(monkeypatch):
+    """Rows passed to slot_bounds and calls to the contraction kernel, per
+    recursion path."""
+    paths, bounded, contracted = [], collections.Counter(), collections.Counter()
+    solve_rec, bounds, contract = mlopt._solve_rec, mlopt.slot_bounds, mlopt.contract_first
+
+    def recording(arr, p, cfg, root, path, memo):
+        paths.append(path)
+        try:
+            return solve_rec(arr, p, cfg, root, path, memo)
+        finally:
+            paths.pop()
+
+    def counted_bounds(arr, X, q, steps):
+        bounded[paths[-1]] += len(X)
+        return bounds(arr, X, q, steps)
+
+    def counted_contract(arr, x):
+        contracted[paths[-1]] += 1
+        return contract(arr, x)
+
+    monkeypatch.setattr(mlopt, "_solve_rec", recording)
+    monkeypatch.setattr(mlopt, "slot_bounds", counted_bounds)
+    monkeypatch.setattr(mlopt, "contract_first", counted_contract)
+    return bounded, contracted
+
+
+def test_levels_contract_and_bound_each_distinct_candidate_once(monkeypatch):
+    # at p = inf a level of n1 = 3 draws 103 of the 8 sign vectors, 4 up to sign
+    bounded, contracted = _level_work(monkeypatch)
+    rng = np.random.default_rng(342)
+    A = rng.standard_normal((3, 4, 5))
+    assert sample_count(3, INF, max_samples=SolverConfig().max_samples) == 103
+    solve_ml(MlInstance(A, INF, SolverConfig(seed=1)))
+    assert 0 < bounded[()] <= 4 and 0 < contracted[()] <= 8
+    bounded.clear()
+    contracted.clear()
+    solve_ml(MlInstance(rng.standard_normal((3, 3, 3, 3)), INF, SolverConfig(seed=1)))
+    assert len(bounded) > 1  # the top level and the order-3 levels below it
+    assert max(bounded.values()) <= 4 and max(contracted.values()) <= 8
+    # p-Gaussian candidates are all distinct: every one is still bounded
+    bounded.clear()
+    contracted.clear()
+    M = sample_count(3, 4.0, max_samples=SolverConfig().max_samples)
+    solve_ml(MlInstance(A, 4.0, SolverConfig(seed=1)))
+    assert bounded[()] == contracted[()] == M
 
 
 def test_order_four_top_level_prunes(monkeypatch):

@@ -31,6 +31,28 @@ def test_lines_fit_in_100_columns():
     assert found == []
 
 
+def _axes(call):
+    """The literal axes of a tensordot call, or None."""
+    nodes = [kw.value for kw in call.keywords if kw.arg == "axes"] + call.args[2:]
+    try:
+        return ast.literal_eval(nodes[0]) if nodes else None
+    except ValueError:
+        return None
+
+
+def test_one_first_slot_contraction():
+    # a first-slot contraction outside tensor goes through tensor.contract_first,
+    # the same gemv as tensordot(..., axes=(0, 0)) without its set-up
+    calls = [(path.name, node)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "tensordot"]
+    assert calls  # the walk sees the calls
+    assert [f"{name}:{node.lineno}" for name, node in calls
+            if name != "tensor.py" and _axes(node) == (0, 0)] == []
+
+
 def _import_parts(module):
     """Every dotted part of every name the module imports."""
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))

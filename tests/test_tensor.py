@@ -10,6 +10,7 @@ from lpmax.tensor import (
     Tensor,
     as_tensor,
     contract,
+    contract_first,
     eval_multilinear,
     eval_poly,
     holder_rows,
@@ -75,6 +76,23 @@ def test_contract_partial(rng):
     full = contract(A, ContractionSpec({1: xs[0], 2: xs[1], 3: xs[2]}))
     assert full.order == 0
     assert np.isclose(full.item(), eval_multilinear(A, xs))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160])
+def test_contract_first_equals_tensordot(scale):
+    # the same gemv on the same operands, so bit for bit, whatever the layout
+    rng = np.random.default_rng(60)
+    for d in range(1, 6):
+        for _ in range(8):
+            dims = tuple(int(n) for n in rng.integers(1, 6, size=d))
+            big = scale * rng.standard_normal(tuple(2 * n for n in dims))
+            x = rng.standard_normal(dims[0])
+            arr = np.ascontiguousarray(big[tuple(slice(n) for n in dims)])
+            for view in (arr, big[(slice(None, None, 2),) * d], np.asfortranarray(arr),
+                         arr[::-1], big[tuple(slice(n) for n in dims)]):
+                got, want = contract_first(view, x), np.tensordot(view, x, axes=(0, 0))
+                assert got.shape == want.shape == dims[1:]
+                assert got.tobytes() == want.tobytes(), (dims, view.strides)
 
 
 def test_contract_guards(rng):

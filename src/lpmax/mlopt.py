@@ -5,9 +5,13 @@ The d = 2 base case is the relaxation-plus-rounding pipeline of
 draw M candidate vectors on the L_p sphere (sign vectors for p = inf,
 normalized p-Gaussians for finite p), contract each into the first slot, and
 recurse on the resulting order-(d-1) tensor, keeping the candidate whose
-recursive solution scores best.  The per-candidate RNG streams are derived
-from (seed, path, index), so enlarging M never changes earlier candidates
-and the best value is monotone in M.
+recursive solution scores best.  A level draws all M candidates in one
+:func:`lpmax.sampler.draw_candidates` call, and row i is bit for bit the
+candidate of its own (seed, path, index) stream, so enlarging M never
+changes earlier candidates and the best value is monotone in M.  The batch
+reproduces numpy's SeedSequence, PCG64 and bounded-integer algorithms;
+tests/test_sampler.py::test_batch_rows_equal_their_streams fails if a numpy
+release changes them.
 
 Each distinct candidate of a level is contracted once, and bounded once up
 to sign, as a row's bound depends on that row alone and not on its sign.
@@ -44,12 +48,11 @@ import numpy as np
 from .config import SolverConfig
 from .errors import ConvergenceError, DegenerateInputError, ShapeError
 from .pqnorm import round_gram, solve_vecp, solve_vecp_stack
-from .sampler import (MASK64, STREAM_TRIALS, derive_rng, sample_count, sample_pgauss,
-                      sample_rademacher)
+from .sampler import (MASK64, STREAM_CANDIDATE, STREAM_TRIALS, derive_rng, draw_candidates,
+                      sample_count)
 from .tensor import Tensor, as_tensor, contract_first, eval_multilinear, slot_bounds
-from .validation import INF, check_p, conjugate_exponent
+from .validation import check_p, conjugate_exponent
 
-_STREAM_CANDIDATE = 0x52
 _STACK = 16  # distinct matrices per stacked relaxation solve of a candidate level
 _DUAL_STEPS = 20  # dual steps that tighten each candidate's bound (tensor.slot_bounds)
 
@@ -88,12 +91,6 @@ class MlCertificate:
     seed: int
     trials_used: int
     relax_value: float
-
-
-def _candidate_vector(n: int, p: float, rng) -> np.ndarray:
-    if p == INF:
-        return sample_rademacher(n, rng)
-    return sample_pgauss(n, p, rng)[1]
 
 
 def _key(arr: np.ndarray):
@@ -135,8 +132,7 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
         return _solve_d2(arr, p, cfg, derive_rng(root, *path, STREAM_TRIALS), memo)
     n1 = arr.shape[0]
     M = sample_count(n1, p, amplified=True, max_samples=cfg.max_samples)
-    xis = [_candidate_vector(n1, p, derive_rng(root, *path, _STREAM_CANDIDATE, i))
-           for i in range(M)]
+    xis = draw_candidates(root, path + (STREAM_CANDIDATE,), M, n1, p)
     keys = [xi.tobytes() for xi in xis]
     # each distinct candidate is contracted once and bounded once up to sign
     contracted, where, rows = {}, {}, []
@@ -166,7 +162,7 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
         relax_value = max(relax_value, relax)
         if value > best_value or (value == best_value and i < best):  # ties -> first index
             best, best_value, best_xs = i, value, xs
-    xs = [xis[best]] + list(best_xs)
+    xs = [xis[best].copy()] + list(best_xs)
     return xs, eval_multilinear(arr, xs), relax_value
 
 

@@ -18,6 +18,14 @@ from .validation import INF, check_p, lp_norm
 
 MASK64 = (1 << 64) - 1
 STREAM_TRIALS = 0x51  # path element of every rounding-trial stream
+STREAM_CANDIDATE = 0x52  # path element of every slot-candidate stream
+
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
+# 128-bit LCG multiplier: draw_candidates reproduces both bit for bit
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -66,6 +74,95 @@ def sample_pgauss(n: int, p, rng: np.random.Generator):
     nrm = lp_norm(xi, pf)
     xi_normalized = xi / nrm if nrm > 0 else xi.copy()
     return xi, xi_normalized
+
+
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """SeedSequence's hash of value (an int or a uint32 array) under hash
+    constant h; returns the hashed value and the next constant."""
+    nxt = h * mult & _M32
+    value = (value ^ h) * nxt & _M32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _seed_words(entropy: list) -> list:
+    """The 8 uint32 words SeedSequence(entropy).generate_state(4, uint64) is
+    made of, low word first; an entropy word may be a uint32 array, which
+    runs one sequence per element."""
+    pool, h = [], _INIT_A
+    for k in range(4):
+        word, h = _hashmix(entropy[k] if k < len(entropy) else 0, h)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[4:]:
+        for dst in range(4):
+            word, h = _hashmix(extra, h)
+            pool[dst] = _mix(pool[dst], word)
+    out, h = [], _INIT_B
+    for k in range(8):
+        word, h = _hashmix(pool[k % 4], h, _MULT_B)
+        out.append(word)
+    return out
+
+
+def draw_candidates(seed: int, path: tuple, count: int, n: int, p) -> np.ndarray:
+    """(count, n) array whose row i is, bit for bit, the candidate drawn from
+    derive_rng(seed, *path, i): sample_rademacher(n, ...) at p = inf and
+    sample_pgauss(n, p, ...)[1] at finite p.
+
+    The count seed sequences differ only in their last entropy word, so they
+    run as one over uint32 arrays; each PCG64 is then seeded and stepped in
+    Python ints.  A sign is the top bit of the next 32-bit half of a PCG64
+    output, low half first: numpy's bounded draw for a range of 2.  At finite
+    p one Generator, set to each candidate's state after its signs, draws its
+    Gamma(1/p, 1) row, and each row's L_p root is a scalar pow, as in lp_norm.
+    This reproduces numpy's SeedSequence, PCG64 and bounded-integer algorithms,
+    which tests/test_sampler.py checks against derive_rng.
+    """
+    if n < 1:
+        raise DomainError("need n >= 1")
+    if not 0 <= count <= 1 << 32:  # the index must stay one uint32 entropy word
+        raise DomainError("need 0 <= count <= 2^32")
+    pf = check_p(p)
+    entropy = []
+    for k in (seed, *path):
+        v = int(k) & MASK64
+        entropy += [v & _M32, v >> 32] if v >> 32 else [v]
+    words = [w.tolist() for w in _seed_words(entropy + [np.arange(count, dtype=np.uint32)])]
+    half = (n + 1) // 2
+    outs, states = [], []
+    for w in zip(*words):
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        inc = ((w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 | 1) & _M128
+        state = ((inc + initstate) * _PCG_MULT + inc) & _M128
+        for _ in range(half):
+            state = (state * _PCG_MULT + inc) & _M128
+            v, r = (state >> 64 ^ state) & MASK64, state >> 122
+            outs.append((v >> r | v << (64 - r)) & MASK64)
+        states.append((state, inc, outs[-1] >> 32))
+    out = np.array(outs, dtype=np.uint64).reshape(count, half)
+    bits = np.stack([out >> 31, out >> 63], axis=2).reshape(count, 2 * half)[:, :n] & 1
+    eps = bits.astype(np.float64) * 2.0 - 1.0
+    if pf == INF:
+        return eps
+    bitgen = np.random.PCG64(0)  # local, and every row sets its own state
+    gen = np.random.Generator(bitgen)
+    g = np.empty((count, n))
+    for row, (state, inc, upper) in zip(g, states):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": n % 2, "uinteger": upper}
+        row[:] = gen.gamma(1.0 / pf, 1.0, size=n)
+    xi = eps * g ** (1.0 / pf)
+    roots = [t ** (1.0 / pf) for t in np.sum(np.abs(xi) ** pf, axis=1).tolist()]
+    return xi / np.array([r if r > 0 else 1.0 for r in roots])[:, None]
 
 
 def sample_count(n: int, p, amplified: bool = True, max_samples: int | None = None) -> int:

@@ -12,7 +12,7 @@ from lpmax.hpopt import HpInstance, solve_hp
 from lpmax.mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
 from lpmax.oracle import exact_ml_linf
 from lpmax.pqnorm import KG_BOUND, GramSolution, pq_norm_lb, round_gram, solve_vecp_stack
-from lpmax.sampler import derive_rng, sample_count
+from lpmax.sampler import STREAM_CANDIDATE, STREAM_TRIALS, derive_rng, sample_count
 from lpmax.tensor import eval_multilinear, matrix_bounds, rounding_allowance, slot_bounds
 from lpmax.validation import INF, conjugate_exponent, lp_norm
 
@@ -273,6 +273,34 @@ def test_levels_contract_and_bound_each_distinct_candidate_once(monkeypatch):
     M = sample_count(3, 4.0, max_samples=SolverConfig().max_samples)
     solve_ml(MlInstance(A, 4.0, SolverConfig(seed=1)))
     assert bounded[()] == contracted[()] == M
+
+
+def test_levels_draw_their_candidates_in_one_batch(monkeypatch):
+    # a generator is derived once per rounded d = 2 leaf, on its trial stream;
+    # the level's 103 candidates come from one draw_candidates call
+    derived, leaves, batches = [], [], []
+    derive, solve_d2, draw = mlopt.derive_rng, mlopt._solve_d2, mlopt.draw_candidates
+
+    def counted_derive(seed, *path):
+        derived.append(path)
+        return derive(seed, *path)
+
+    def counted_d2(*args):
+        leaves.append(args[0].shape)
+        return solve_d2(*args)
+
+    def counted_draw(seed, path, count, n, p):
+        batches.append((path, count))
+        return draw(seed, path, count, n, p)
+
+    monkeypatch.setattr(mlopt, "derive_rng", counted_derive)
+    monkeypatch.setattr(mlopt, "_solve_d2", counted_d2)
+    monkeypatch.setattr(mlopt, "draw_candidates", counted_draw)
+    A = np.random.default_rng(343).standard_normal((3, 4, 5))
+    solve_ml(MlInstance(A, INF, SolverConfig(seed=1)))
+    assert leaves and len(derived) == len(leaves)
+    assert all(path[-1] == STREAM_TRIALS for path in derived)
+    assert batches == [((STREAM_CANDIDATE,), 103)]
 
 
 def test_order_four_top_level_prunes(monkeypatch):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from lpmax.sampler import (
     KN,
     MASK64,
     derive_rng,
+    draw_candidates,
     sample_count,
     sample_pgauss,
     sample_rademacher,
@@ -67,6 +70,37 @@ def test_pgauss_sign_symmetry():
     xi, _ = sample_pgauss(n, 3.0, derive_rng(11, 0x52))
     se = float(np.std(xi)) / math.sqrt(n)
     assert abs(float(np.mean(xi))) <= 3.0 * se
+
+
+_BATCH_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**64 + 2**33 + 9)  # last: masked
+_BATCH_PATHS = ((), (0x52,), (3, 0x52), (2**40 + 7, 1, 0x52), (2, 2**32), (5, 0, 2**64 + 1))
+_BATCH_CASES = [(seed, _BATCH_PATHS[(2 * k + j) % 6], n, (1, 2, 103, 207)[(k + j) % 4])
+                for k, (seed, n) in enumerate(itertools.product(_BATCH_SEEDS, (1, 2, 3, 4, 5, 8, 13)))
+                for j in range(2)]
+
+
+@pytest.mark.parametrize("p", [2.5, 3, Fraction(7, 2), 4, 7, INF], ids=str)
+def test_batch_rows_equal_their_streams(p):
+    # row i of the batch is the candidate of the stream (seed, *path, i), byte for
+    # byte; a numpy that changes SeedSequence, PCG64 or its bounded-integer or
+    # gamma draws fails here, not in a certificate pin far downstream
+    for seed, path, n, count in _BATCH_CASES:
+        X = draw_candidates(seed, path, count, n, p)
+        assert X.shape == (count, n)
+        for i, row in enumerate(X):
+            rng = derive_rng(seed, *path, i)
+            want = sample_rademacher(n, rng) if p == INF else sample_pgauss(n, p, rng)[1]
+            assert row.tobytes() == want.tobytes(), (seed, path, n, count, i)
+
+
+def test_batch_domain():
+    assert draw_candidates(1, (), 0, 3, INF).shape == (0, 3)
+    with pytest.raises(DomainError):
+        draw_candidates(1, (), 2**32 + 1, 3, INF)  # the index word would widen
+    with pytest.raises(DomainError):
+        draw_candidates(1, (), 4, 0, 4.0)
+    with pytest.raises(DomainError):
+        draw_candidates(1, (), 4, 3, 2.0)
 
 
 def test_sample_count_frozen_values():

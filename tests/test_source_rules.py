@@ -99,3 +99,16 @@ def test_every_echo_names_its_stream():
     assert calls  # the walk sees the calls
     assert [f"{name}:{node.lineno}" for name, node in calls
             if "file" not in {kw.arg for kw in node.keywords}] == []
+
+
+def test_one_module_builds_generators():
+    # the RNG streams are part of every certificate, and sampler.draw_candidates
+    # reproduces numpy's seeding bit for bit, so only sampler builds generators
+    names = {"SeedSequence", "PCG64", "Generator", "default_rng"}
+    calls = [(path.name, node)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
+    assert calls  # the walk sees the calls
+    assert [f"{name}:{node.lineno}" for name, node in calls if name != "sampler.py"] == []

@@ -49,12 +49,13 @@ EXIT_BOUND = 6
 # flag help; flag values and config-file values pass the same type check
 _SETTINGS = {
     "p": ("inf", None, "exponent in (2, inf]: rational like 5/2, decimal, or inf"),
-    "seed": (0, click.INT, None),
-    "trials": (100, click.IntRange(min=1), "rounding trials per matrix subproblem"),
-    "tol": (1e-6, click.FloatRange(min=0, min_open=True), None),
+    "seed": (SolverConfig.seed, click.INT, None),
+    "trials": (SolverConfig.trials, click.IntRange(min=1), "rounding trials per matrix subproblem"),
+    "tol": (SolverConfig.tol, click.FloatRange(min=0, min_open=True), None),
     "steps": (33, click.IntRange(min=2), "oracle grid points per axis"),
-    "strategy": ("krivine", click.Choice(["hyperplane", "krivine"]), None),
-    "max_samples": (256, click.IntRange(min=1), "cap on direction samples per recursion level"),
+    "strategy": (SolverConfig.strategy, click.Choice(["hyperplane", "krivine"]), None),
+    "max_samples": (SolverConfig.max_samples, click.IntRange(min=1),
+                    "cap on direction samples per recursion level"),
     "format": ("text", click.Choice(["text", "json"]), None),
     "oracle": (False, click.BOOL, "also run the independent oracle and report the ratio"),
     "mode": ("ml", click.Choice(["ml", "hp", "pqnorm"]), None),
@@ -189,8 +190,7 @@ def _solver_config(vals) -> SolverConfig:
 def _solve_ml(A, p, vals):
     cfg = _solver_config(vals)
     cert = solve_ml(MlInstance(A, p, cfg))
-    uncapped = sample_count(A.dims[0], p, amplified=True, max_samples=None) \
-        if A.order >= 3 else cfg.trials
+    uncapped = sample_count(A.dims[0], p, max_samples=None) if A.order >= 3 else cfg.trials
     return cert.value, {
         "value": cert.value,
         "relax_value": cert.relax_value,

@@ -49,18 +49,17 @@ class ParamEstimator:
             raise RuntimeError(f"{type(self).__name__} instance is not fitted yet")
 
 
-def _config_from(est, **overrides) -> SolverConfig:
-    base = SolverConfig()
-    kw = {k: getattr(est, k) for k in base.__dataclass_fields__ if hasattr(est, k)}
-    kw.update(overrides)
-    return base.updated(**kw)
+def _config_from(est) -> SolverConfig:
+    return SolverConfig(**{k: getattr(est, k) for k in SolverConfig.__dataclass_fields__
+                           if hasattr(est, k)})
 
 
 class _TensorMaximizer(ParamEstimator):
-    """Shared parameters and score of the tensor maximizers."""
+    """Shared parameters and score of the estimators; defaults are SolverConfig's."""
 
-    def __init__(self, p=2.5, seed=0, trials=100, tol=1e-6, max_samples=256,
-                 strategy="krivine"):
+    def __init__(self, p=2.5, seed=SolverConfig.seed, trials=SolverConfig.trials,
+                 tol=SolverConfig.tol, max_samples=SolverConfig.max_samples,
+                 strategy=SolverConfig.strategy):
         self.p = p
         self.seed = seed
         self.trials = trials
@@ -109,7 +108,7 @@ class HomogeneousPolynomialMaximizer(_TensorMaximizer):
         return self
 
 
-class PqNormEstimator(ParamEstimator):
+class PqNormEstimator(_TensorMaximizer):
     """Lower-bound estimator for the p -> q operator norm of a matrix.
 
     fit(B) solves the positive-semidefinite relaxation and rounds it; exposes
@@ -117,8 +116,8 @@ class PqNormEstimator(ParamEstimator):
     witnesses y_, z_.
     """
 
-    def __init__(self, p=2.5, strategy="krivine", trials=100, seed=0,
-                 tol=1e-6, max_iter=5000):
+    def __init__(self, p=2.5, strategy=SolverConfig.strategy, trials=SolverConfig.trials,
+                 seed=SolverConfig.seed, tol=SolverConfig.tol, max_iter=SolverConfig.max_iter):
         self.p = p
         self.strategy = strategy
         self.trials = trials
@@ -134,7 +133,3 @@ class PqNormEstimator(ParamEstimator):
         self.y_ = pair.y
         self.z_ = pair.z
         return self
-
-    def score(self, B=None, y=None):
-        self._check_fitted()
-        return self.value_

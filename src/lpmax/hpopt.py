@@ -25,7 +25,7 @@ from .mlopt import relax_to_ml, solve_ml
 from .tensor import SYM_TOL, Tensor, as_tensor, contract_all, is_supersymmetric
 from .validation import as_vector, check_p, lp_norm
 
-_BETA_GATE = 20  # 2^d sign patterns are enumerated exhaustively
+_BETA_GATE = 20  # the 2^(d-1) sign patterns with beta_1 = +1 are enumerated exhaustively
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,10 @@ def _check_xs(A: Tensor, xs):
 def polarize_odd(A, xs, p):
     """Best odd-degree sign combination, normalized onto the L_p sphere.
 
-    Enumerates all 2^d sign vectors beta; for each, evaluates f_A at
-    sum_j (prod_{i != j} beta_i) x^j and keeps the maximizer.  When every
-    combination collapses to zero, falls back to the best single +-x^j so the
-    certificate is never vacuous.
+    Enumerates the 2^(d-1) sign vectors beta with beta_1 = +1 (-beta gives the
+    same point); for each, evaluates f_A at sum_j (prod_{i != j} beta_i) x^j
+    and keeps the maximizer.  When every combination collapses to zero, falls
+    back to the best single +-x^j so the certificate is never vacuous.
     """
     A = as_tensor(A)
     d = A.order
@@ -90,7 +90,7 @@ def polarize_odd(A, xs, p):
     xs = _check_xs(A, xs)
     arr = A.data
     best_y, best_val = None, -math.inf
-    for beta in itertools.product((1.0, -1.0), repeat=d):
+    for beta in itertools.product((1.0,), *[(1.0, -1.0)] * (d - 1)):
         # prod_{i != j} beta_i = (prod beta) * beta_j since beta_j^2 = 1
         sign = float(np.prod(beta))
         y = sign * sum(b * x for b, x in zip(beta, xs))
@@ -118,10 +118,11 @@ def polarize_even(A, xs, p):
     """Best even-degree combination (1/d) * sum_j beta_j x^j over prod beta = 1.
 
     The average is feasible without renormalization because each x^j sits in
-    the unit ball and the coefficients are 1/d in magnitude.  A positive
-    combination is pushed out to the L_p sphere (which can only increase an
-    even-degree homogeneous value); if every combination is nonpositive the
-    origin is returned, since f(0) = 0 dominates.
+    the unit ball and the coefficients are 1/d in magnitude.  Only beta_1 = +1
+    is enumerated, as -beta gives the negated point and the same value.  A
+    positive combination is pushed out to the L_p sphere (which can only
+    increase an even-degree homogeneous value); if every combination is
+    nonpositive the origin is returned, since f(0) = 0 dominates.
     """
     A = as_tensor(A)
     d = A.order
@@ -133,7 +134,7 @@ def polarize_even(A, xs, p):
     xs = _check_xs(A, xs)
     arr = A.data
     best_x, best_val = None, -math.inf
-    for beta in itertools.product((1.0, -1.0), repeat=d):
+    for beta in itertools.product((1.0,), *[(1.0, -1.0)] * (d - 1)):
         if np.prod(beta) != 1.0:
             continue
         x = sum(b * xj for b, xj in zip(beta, xs)) / d
@@ -153,9 +154,10 @@ def polarize_even(A, xs, p):
     return x_hat, contract_all(arr, [x_hat] * d)
 
 
-def solve_hp(inst: HpInstance, rng=None) -> HpCertificate:
-    """relax -> solve_ml -> polarize; odd degrees raise below the d!/d^d recovery floor."""
-    cert = solve_ml(relax_to_ml(inst), rng=rng)
+def solve_hp(inst: HpInstance) -> HpCertificate:
+    """relax -> solve_ml -> polarize; odd degrees raise below the d!/d^d recovery floor.
+    The certificate carries solve_ml's root seed, cfg.seed & MASK64."""
+    cert = solve_ml(relax_to_ml(inst))
     d = inst.tensor.order
     if d % 2 == 1:
         x_hat, value = polarize_odd(inst.tensor, cert.xs, inst.p)

@@ -131,7 +131,7 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
     if d == 2:
         return _solve_d2(arr, p, cfg, derive_rng(root, *path, STREAM_TRIALS), memo)
     n1 = arr.shape[0]
-    M = sample_count(n1, p, amplified=True, max_samples=cfg.max_samples)
+    M = sample_count(n1, p, max_samples=cfg.max_samples)
     xis = draw_candidates(root, path + (STREAM_CANDIDATE,), M, n1, p)
     keys = [xi.tobytes() for xi in xis]
     # each distinct candidate is contracted once and bounded once up to sign
@@ -166,13 +166,14 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
     return xs, eval_multilinear(arr, xs), relax_value
 
 
-def solve_ml(inst: MlInstance, rng=None) -> MlCertificate:
-    """Approximately maximize F_A over d independent L_p balls."""
+def solve_ml(inst: MlInstance) -> MlCertificate:
+    """Approximately maximize F_A over d independent L_p balls; every stream
+    derives from the root seed cfg.seed & MASK64, which the certificate carries."""
     A, p, cfg = inst.tensor, inst.p, inst.cfg
-    root = int(cfg.seed) & MASK64 if rng is None else int(rng.integers(1 << 63))
+    root = int(cfg.seed) & MASK64
     xs, _value, relax = _solve_rec(A.data, p, cfg, root, (), {})
     trials_used = cfg.trials if A.order == 2 else \
-        sample_count(A.dims[0], p, amplified=True, max_samples=cfg.max_samples)
+        sample_count(A.dims[0], p, max_samples=cfg.max_samples)
     value = eval_multilinear(A, xs)
     if value < 0.0:
         xs[0] = -xs[0]
@@ -181,13 +182,13 @@ def solve_ml(inst: MlInstance, rng=None) -> MlCertificate:
                          trials_used=trials_used, relax_value=float(relax))
 
 
-def solve_ml_d2(B, p, cfg: SolverConfig | None = None, rng=None) -> MlCertificate:
+def solve_ml_d2(B, p, cfg: SolverConfig | None = None) -> MlCertificate:
     """Bilinear special case, exposed directly for matrix inputs."""
     cfg = cfg or SolverConfig()
     inst = MlInstance(tensor=as_tensor(B), p=p, cfg=cfg)
     if inst.tensor.order != 2:
         raise ShapeError("solve_ml_d2 needs an order-2 tensor")
-    return solve_ml(inst, rng=rng)
+    return solve_ml(inst)
 
 
 def relax_to_ml(hp) -> MlInstance:

@@ -84,6 +84,8 @@ def exact_ml_linf(A) -> OracleResult:
     leaves its l1 norm unchanged, so slot 1's first coordinate is pinned.
     """
     A = as_tensor(A)
+    if A.order < 2:
+        raise ShapeError("exact_ml_linf needs a tensor of order >= 2")
     if sum(A.dims) > _SIGN_GATE:
         raise ResourceLimitError(
             f"vertex enumeration gate exceeded: sum(dims)={sum(A.dims)} > {_SIGN_GATE}"
@@ -319,7 +321,7 @@ def _ml_ascent(arr, xs, q, sweeps=300, rtol=1e-13):
             for j in range(d - 1, -1, -1):
                 if j == i:
                     continue
-                w = np.tensordot(w, xs[j], axes=(j, 0))
+                w = contract_first(np.moveaxis(w, j, 0), xs[j])
             xs[i] = _dual_vec(w, q)
         new = float(np.abs(contract_all(arr, xs)))
         if new <= val * (1.0 + rtol) + 1e-300:

@@ -253,7 +253,7 @@ def _solve_chunk(B: np.ndarray, pf: float, tol: float, max_iter: int):
     return out
 
 
-def solve_vecp_stack(Bs, p, tol: float = 1e-6, max_iter: int = 5000) -> list:
+def solve_vecp_stack(Bs, p, tol=SolverConfig.tol, max_iter=SolverConfig.max_iter) -> list:
     """solve_vecp on every matrix of a (k, m, n) stack, solved together.
 
     Returns one (GramSolution, converged) pair per matrix, each bit-equal to
@@ -277,7 +277,7 @@ def solve_vecp_stack(Bs, p, tol: float = 1e-6, max_iter: int = 5000) -> list:
     return out
 
 
-def solve_vecp(B, p, tol: float = 1e-6, max_iter: int = 5000) -> GramSolution:
+def solve_vecp(B, p, tol=SolverConfig.tol, max_iter=SolverConfig.max_iter) -> GramSolution:
     """Maximize the relaxation by block ascent on its Gram factors.
 
     From three fixed-seed random starts, alternately set the row factors and
@@ -330,9 +330,8 @@ def _trial_sign_values(B, g: GramSolution, strategy: str, trials: int, rng):
     return vals, Y, Z
 
 
-def round_gram(B, g: GramSolution, p, strategy: str = "krivine", trials: int = 100,
-               rng=None) -> RoundedPair:
-    """Best feasible sign pair over ``trials`` roundings of the Gram solution.
+def round_gram(B, g: GramSolution, p, strategy: str, trials: int, rng) -> RoundedPair:
+    """Best feasible sign pair over ``trials`` roundings of g drawn from ``rng``.
 
     The winning pair is sign-normalized (y flipped wholesale when y^T B z < 0)
     so the returned value is nonnegative; ties go to the first trial.
@@ -340,8 +339,6 @@ def round_gram(B, g: GramSolution, p, strategy: str = "krivine", trials: int = 1
     B = as_matrix(B)
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if rng is None:
-        rng = derive_rng(0, STREAM_TRIALS)
     vals, Y, Z = _trial_sign_values(B, g, strategy, int(trials), rng)
     i = int(np.argmax(np.abs(vals)))
     y, z = Y[i].copy(), Z[i].copy()
@@ -350,16 +347,14 @@ def round_gram(B, g: GramSolution, p, strategy: str = "krivine", trials: int = 1
     return RoundedPair(y=y, z=z, value=float(y @ B @ z))
 
 
-def pq_norm_lb(B, p, cfg: SolverConfig | None = None, rng=None) -> tuple[GramSolution, RoundedPair]:
+def pq_norm_lb(B, p, cfg: SolverConfig | None = None) -> tuple[GramSolution, RoundedPair]:
     """solve_vecp then round_gram: a feasible lower bound on ||B||_{p->q}.
 
     Returns the relaxation's Gram solution and the rounded pair.  With high
     probability over trials the pair's value lands in
-    [relaxation/K_G - tol, ||B||_{p->q}].  Trials draw from ``rng``, by default
+    [relaxation/K_G - tol, ||B||_{p->q}].  Trials draw from
     ``derive_rng(cfg.seed, STREAM_TRIALS)``.
     """
     cfg = cfg or SolverConfig()
     g = solve_vecp(B, p, cfg.tol, cfg.max_iter)
-    if rng is None:
-        rng = derive_rng(cfg.seed, STREAM_TRIALS)
-    return g, round_gram(B, g, p, cfg.strategy, cfg.trials, rng)
+    return g, round_gram(B, g, p, cfg.strategy, cfg.trials, derive_rng(cfg.seed, STREAM_TRIALS))

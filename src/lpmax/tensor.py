@@ -117,7 +117,9 @@ def eval_multilinear(A, xs: Sequence) -> float:
 def contract_first(arr: np.ndarray, x: np.ndarray) -> np.ndarray:
     """arr contracted in its first slot with x, of shape arr.shape[1:]: the
     gemv of np.tensordot(arr, x, axes=(0, 0)) on the same operands, so equal
-    to it bit for bit, without its set-up."""
+    to it bit for bit, without its set-up.  Slot j is contract_first of
+    np.moveaxis(arr, j, 0), which lays out tensordot(arr, x, axes=(j, 0))'s
+    operands the same way."""
     flat = arr.transpose((*range(1, arr.ndim), 0)).reshape(-1, len(x))
     return np.dot(flat, x).reshape(arr.shape[1:])
 
@@ -144,7 +146,7 @@ def contract(A, spec: ContractionSpec) -> Tensor:
             )
     out = arr
     for pos in sorted(spec.assignments, reverse=True):
-        out = np.tensordot(out, spec.assignments[pos], axes=(pos - 1, 0))
+        out = contract_first(np.moveaxis(out, pos - 1, 0), spec.assignments[pos])
     return Tensor(out)
 
 

@@ -76,6 +76,7 @@ CASES = {
     "exit3-hp-asym": (("solve-hp", "cube.json", "--p", "inf"), None),
     "exit3-pq-cube": (("pqnorm", "cube.json", "--p", "inf"), None),
     "exit3-oracle-pq-cube": (("oracle", "cube.json", "--p", "inf", "--mode", "pqnorm"), None),
+    "exit3-oracle-ml-vector": (("oracle", "vec.json", "--p", "inf", "--mode", "ml"), None),
     "exit4-oracle-grid": (("oracle", "big.json", "--p", "3"), None),
 }
 
@@ -98,6 +99,7 @@ PINNED = {
     "exit2-tol-config": "c1bd13de19940cda",
     "exit2-trials-flag": "65e793e76cbfd86e",
     "exit3-hp-asym": "43b7d0a0657efdf8",
+    "exit3-oracle-ml-vector": "dbf87888810fcdaa",
     "exit3-oracle-pq-cube": "eb6458545a8e9660",
     "exit3-pq-cube": "e7a3001485f79e2c",
     "exit3-zero": "9cef3b40fbd18afe",
@@ -134,6 +136,7 @@ def write_files(path):
     save_tensor(random_supersym(rng, 2, 4), path / "sym4.json")
     save_tensor(rng.standard_normal((30, 30)), path / "big.json")
     (path / "zero.json").write_text('{"dims": [2, 2], "coo": []}\n')
+    save_tensor(np.array([1.0, -2.0]), path / "vec.json")
     (path / "garbage.json").write_text("{not json")
 
 

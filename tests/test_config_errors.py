@@ -1,8 +1,12 @@
 import dataclasses
+import inspect
 
+import numpy as np
 import pytest
 
+from lpmax.cli import run
 from lpmax.config import SolverConfig
+from lpmax.estimators import MultilinearFormMaximizer, PqNormEstimator
 from lpmax.errors import (
     BoundViolationError,
     ConvergenceError,
@@ -12,6 +16,8 @@ from lpmax.errors import (
     ResourceLimitError,
     ShapeError,
 )
+from lpmax.pqnorm import solve_vecp, solve_vecp_stack
+from lpmax.tensor import save_tensor
 
 
 def test_config_defaults():
@@ -21,6 +27,20 @@ def test_config_defaults():
     assert cfg.strategy == "krivine"
     assert cfg.max_samples == 256
     assert cfg.seed == 0
+
+
+def test_every_default_is_the_configs(tmp_path):
+    # the CLI, the estimators and the relaxation solver all take SolverConfig's defaults
+    want = dataclasses.asdict(SolverConfig())
+    save_tensor(np.ones((2, 2, 2)), tmp_path / "cube.json")
+    report = run("solve-ml", tmp_path / "cube.json", "inf")
+    signatures = [inspect.signature(f).parameters for f in (solve_vecp, solve_vecp_stack)]
+    for params in ({"seed": report.seed, **report.config},
+                   MultilinearFormMaximizer().get_params(), PqNormEstimator().get_params(),
+                   *({k: prm.default for k, prm in sig.items()} for sig in signatures)):
+        shared = params.keys() & want.keys()
+        assert len(shared) >= 2
+        assert {k: params[k] for k in shared} == {k: want[k] for k in shared}
 
 
 def test_config_frozen_and_updated():

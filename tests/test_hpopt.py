@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from lpmax.config import SolverConfig
 from lpmax.errors import (DegenerateInputError, DomainError, LpmaxError,
                           ResourceLimitError, ShapeError)
 from lpmax.hpopt import HpCertificate, HpInstance, polarize_even, polarize_odd, solve_hp
-from lpmax.tensor import SYM_TOL, Tensor, eval_multilinear, eval_poly, is_supersymmetric
+from lpmax.tensor import (SYM_TOL, Tensor, contract_all, eval_multilinear, eval_poly,
+                          is_supersymmetric)
 from lpmax.validation import INF, lp_norm
 
 from conftest import random_supersym
@@ -58,6 +60,72 @@ def test_polarization_identity(rng):
         avg = total / 2**d
         want = math.factorial(d) * eval_multilinear(A, xs)
         assert abs(avg - want) <= 1e-10 * (1.0 + abs(want))
+
+
+def _full_polarize_odd(arr, xs, p):
+    # every one of the 2^d sign patterns, with polarize_odd's fallback
+    d = arr.ndim
+    best_y, best_val = None, -math.inf
+    for beta in itertools.product((1.0, -1.0), repeat=d):
+        y = float(np.prod(beta)) * sum(b * x for b, x in zip(beta, xs))
+        val = contract_all(arr, [y] * d)
+        if val > best_val:
+            best_y, best_val = y, val
+    nrm = lp_norm(best_y, p)
+    if nrm == 0.0:
+        best_x, best_val = None, -math.inf
+        for x in xs:
+            n = lp_norm(x, p)
+            if n == 0.0:
+                continue
+            v = contract_all(arr, [x / n] * d)
+            if abs(v) > best_val:
+                best_x, best_val = np.sign(v) * x / n if v != 0 else x / n, abs(v)
+        if best_x is None:
+            return np.zeros(arr.shape[0]), 0.0
+        return best_x, contract_all(arr, [best_x] * d)
+    return best_y / nrm, contract_all(arr, [best_y / nrm] * d)
+
+
+def _full_polarize_even(arr, xs, p):
+    # every one of the 2^d sign patterns with prod beta = 1, then the xs themselves
+    d = arr.ndim
+    best_x, best_val = None, -math.inf
+    for beta in itertools.product((1.0, -1.0), repeat=d):
+        if np.prod(beta) != 1.0:
+            continue
+        x = sum(b * xj for b, xj in zip(beta, xs)) / d
+        val = contract_all(arr, [x] * d)
+        if val > best_val:
+            best_x, best_val = x, val
+    for x in xs:
+        val = contract_all(arr, [x] * d)
+        if val > best_val:
+            best_x, best_val = x, val
+    nrm = lp_norm(best_x, p)
+    if best_val <= 0.0 or nrm == 0.0:
+        return np.zeros(arr.shape[0]), 0.0
+    return best_x / nrm, contract_all(arr, [best_x / nrm] * d)
+
+
+@pytest.mark.parametrize("p", [3.0, INF])
+def test_polarization_enumerates_half_the_sign_patterns(p):
+    # -beta gives the same point (odd d) or its negation, of the same value (even d),
+    # and comes later in product order, so half the patterns keep every bit
+    rng = np.random.default_rng(5151)
+    for d in range(2, 7):
+        polarize, full = (polarize_odd, _full_polarize_odd) if d % 2 else \
+            (polarize_even, _full_polarize_even)
+        for n in range(1, 6):
+            A = random_supersym(rng, n, d)
+            draws = [rng.standard_normal(n) for _ in range(d)]
+            for xs in (draws, [draws[0]] * d, [np.zeros(n)] + draws[1:], [np.zeros(n)] * d,
+                       [rng.integers(-1, 2, size=n).astype(float) for _ in range(d)]):
+                xs = [x / max(lp_norm(x, p), 1.0) for x in xs]
+                for arr in (A, -A):
+                    got, want = polarize(arr, xs, p), full(arr, xs, p)
+                    assert got[0].tobytes() == want[0].tobytes(), (d, n)
+                    assert got[1] == want[1] or (np.isnan(got[1]) and np.isnan(want[1]))
 
 
 def test_polarize_odd_floor_and_feasibility(rng):

@@ -12,7 +12,7 @@ from lpmax.hpopt import HpInstance, solve_hp
 from lpmax.mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
 from lpmax.oracle import exact_ml_linf
 from lpmax.pqnorm import KG_BOUND, GramSolution, pq_norm_lb, round_gram, solve_vecp_stack
-from lpmax.sampler import STREAM_CANDIDATE, STREAM_TRIALS, derive_rng, sample_count
+from lpmax.sampler import MASK64, STREAM_CANDIDATE, STREAM_TRIALS, derive_rng, sample_count
 from lpmax.tensor import eval_multilinear, matrix_bounds, rounding_allowance, slot_bounds
 from lpmax.validation import INF, conjugate_exponent, lp_norm
 
@@ -119,6 +119,18 @@ def test_seed_changes_candidates(rng):
     assert a.value != b.value or not all(
         np.array_equal(x, y) for x, y in zip(a.xs, b.xs)
     )
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 7, -1])
+def test_certificates_carry_the_masked_config_seed(rng, seed):
+    # cfg.seed is the only root: every stream, and the certificate, use seed & MASK64
+    A, S = rng.standard_normal((2, 3, 2)), random_supersym(rng, 2, 3)
+    ml = solve_ml(MlInstance(A, INF, small_cfg(seed)))
+    hp = solve_hp(HpInstance(S, INF, small_cfg(seed)))
+    assert ml.seed == hp.seed == seed & MASK64
+    masked = solve_ml(MlInstance(A, INF, small_cfg(seed & MASK64)))
+    assert masked.value == ml.value
+    assert all(np.array_equal(x, y) for x, y in zip(masked.xs, ml.xs))
 
 
 def test_distinct_candidates_solved_once(rng, monkeypatch):
@@ -359,7 +371,7 @@ def test_matrix_bound_caps_relaxation_and_rounding(scale):
         tight = matrix_bounds(Cs, q, mlopt._DUAL_STEPS) + allowance
         assert (tight <= loose).all()
         for C, bound, (g, _) in zip(Cs, tight, solve_vecp_stack(Cs, p)):
-            pair = round_gram(C, g, p, trials=32, rng=derive_rng(k))
+            pair = round_gram(C, g, p, "krivine", 32, derive_rng(k))
             assert bound >= g.value and bound >= pair.value, (C, p)
 
 

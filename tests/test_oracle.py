@@ -165,6 +165,13 @@ def test_grid_ml_survives_extreme_scales(scale):
     assert want > 4.0
     assert grid_ml(scale * A, 3.0, 9, 0).value / scale == pytest.approx(want, rel=1e-12)
 
+@pytest.mark.parametrize("vec", [np.array([1.0, -2.0]), np.array(3.0)])
+def test_exact_ml_linf_rejects_order_below_two(vec):
+    # as grid_ml does: a ShapeError (exit 3), not an IndexError from the empty slot list
+    with pytest.raises(ShapeError):
+        exact_ml_linf(vec)
+
+
 def test_grid_ml_budget_and_arg_guards(rng):
     with pytest.raises(ResourceLimitError):
         grid_ml(rng.standard_normal((12, 12, 12, 12)), INF, steps=33)

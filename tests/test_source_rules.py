@@ -31,26 +31,18 @@ def test_lines_fit_in_100_columns():
     assert found == []
 
 
-def _axes(call):
-    """The literal axes of a tensordot call, or None."""
-    nodes = [kw.value for kw in call.keywords if kw.arg == "axes"] + call.args[2:]
-    try:
-        return ast.literal_eval(nodes[0]) if nodes else None
-    except ValueError:
-        return None
-
-
 def test_one_first_slot_contraction():
-    # a first-slot contraction outside tensor goes through tensor.contract_first,
-    # the same gemv as tensordot(..., axes=(0, 0)) without its set-up
-    calls = [(path.name, node)
+    # every one-vector contraction goes through tensor.contract_first (slot j via
+    # np.moveaxis), the same gemv as tensordot without its set-up; the only
+    # tensordot left is slot_bounds' product of a row block with the unfolding
+    calls = [(path.name, func.name)
              for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "tensordot"]
-    assert calls  # the walk sees the calls
-    assert [f"{name}:{node.lineno}" for name, node in calls
-            if name != "tensor.py" and _axes(node) == (0, 0)] == []
+    assert calls == [("tensor.py", "slot_bounds")]
 
 
 def _import_parts(module):

@@ -80,19 +80,24 @@ def test_contract_partial(rng):
 
 @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160])
 def test_contract_first_equals_tensordot(scale):
-    # the same gemv on the same operands, so bit for bit, whatever the layout
+    # the same gemv on the same operands, so bit for bit, whatever the layout;
+    # slot j is contract_first of np.moveaxis(arr, j, 0), as in tensor.contract
     rng = np.random.default_rng(60)
     for d in range(1, 6):
         for _ in range(8):
             dims = tuple(int(n) for n in rng.integers(1, 6, size=d))
             big = scale * rng.standard_normal(tuple(2 * n for n in dims))
-            x = rng.standard_normal(dims[0])
+            xs = [rng.standard_normal(n) for n in dims]
             arr = np.ascontiguousarray(big[tuple(slice(n) for n in dims)])
             for view in (arr, big[(slice(None, None, 2),) * d], np.asfortranarray(arr),
                          arr[::-1], big[tuple(slice(n) for n in dims)]):
-                got, want = contract_first(view, x), np.tensordot(view, x, axes=(0, 0))
-                assert got.shape == want.shape == dims[1:]
-                assert got.tobytes() == want.tobytes(), (dims, view.strides)
+                for j, x in enumerate(xs):
+                    got = contract_first(np.moveaxis(view, j, 0), x)
+                    want = np.tensordot(view, x, axes=(j, 0))
+                    assert got.shape == want.shape == dims[:j] + dims[j + 1:]
+                    assert got.tobytes() == want.tobytes(), (dims, j, view.strides)
+                    spec = ContractionSpec({j + 1: x})
+                    assert contract(view, spec).data.tobytes() == want.tobytes()
 
 
 def test_contract_guards(rng):

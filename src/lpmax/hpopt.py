@@ -66,10 +66,35 @@ class HpCertificate:
     seed: int
 
 
-def _check_xs(A: Tensor, xs):
-    if len(xs) != A.order:
-        raise ShapeError(f"need {A.order} vectors, got {len(xs)}")
-    return [as_vector(x, n, name=f"xs[{i}]") for i, (x, n) in enumerate(zip(xs, A.dims))]
+def _polarization_args(A, xs, p, odd: bool):
+    """(tensor data, p, validated xs) for polarize_odd or polarize_even."""
+    A = as_tensor(A)
+    d = A.order
+    if d % 2 != odd or d < 2 + odd:
+        raise DomainError("polarize_odd needs odd degree >= 3" if odd else
+                          "polarize_even needs even degree >= 2")
+    if d > _BETA_GATE:
+        raise ResourceLimitError(f"degree {d} exceeds the sign-enumeration gate {_BETA_GATE}")
+    pf = check_p(p)
+    if len(xs) != d:
+        raise ShapeError(f"need {d} vectors, got {len(xs)}")
+    xs = [as_vector(x, n, name=f"xs[{i}]") for i, (x, n) in enumerate(zip(xs, A.dims))]
+    return A.data, pf, xs
+
+
+def _half_signs(d: int):
+    """The 2^(d-1) sign vectors beta with beta_1 = +1, in product order."""
+    return itertools.product((1.0,), *[(1.0, -1.0)] * (d - 1))
+
+
+def _first_best(arr, points):
+    """The first point of largest f_A value, and that value; (None, -inf) if none beats -inf."""
+    best_x, best_val = None, -math.inf
+    for x in points:
+        val = contract_all(arr, [x] * arr.ndim)
+        if val > best_val:
+            best_x, best_val = x, val
+    return best_x, best_val
 
 
 def polarize_odd(A, xs, p):
@@ -78,40 +103,20 @@ def polarize_odd(A, xs, p):
     Enumerates the 2^(d-1) sign vectors beta with beta_1 = +1 (-beta gives the
     same point); for each, evaluates f_A at sum_j (prod_{i != j} beta_i) x^j
     and keeps the maximizer.  When every combination collapses to zero, falls
-    back to the best single +-x^j so the certificate is never vacuous.
+    back to the best of the +-x^j / ||x^j||_p so the certificate is never
+    vacuous; the origin is left only when every x^j is zero.
     """
-    A = as_tensor(A)
-    d = A.order
-    if d % 2 == 0 or d < 3:
-        raise DomainError("polarize_odd needs odd degree >= 3")
-    if d > _BETA_GATE:
-        raise ResourceLimitError(f"degree {d} exceeds the sign-enumeration gate {_BETA_GATE}")
-    pf = check_p(p)
-    xs = _check_xs(A, xs)
-    arr = A.data
-    best_y, best_val = None, -math.inf
-    for beta in itertools.product((1.0,), *[(1.0, -1.0)] * (d - 1)):
-        # prod_{i != j} beta_i = (prod beta) * beta_j since beta_j^2 = 1
-        sign = float(np.prod(beta))
-        y = sign * sum(b * x for b, x in zip(beta, xs))
-        val = contract_all(arr, [y] * d)
-        if val > best_val:
-            best_y, best_val = y, val
+    arr, pf, xs = _polarization_args(A, xs, p, True)
+    # prod_{i != j} beta_i = (prod beta) * beta_j since beta_j^2 = 1
+    best_y, _ = _first_best(arr, (float(np.prod(beta)) * sum(b * x for b, x in zip(beta, xs))
+                                  for beta in _half_signs(arr.ndim)))
     nrm = lp_norm(best_y, pf)
     if nrm == 0.0:
-        best_x, best_val = None, -math.inf
-        for x in xs:
-            n = lp_norm(x, pf)
-            if n == 0.0:
-                continue
-            v = contract_all(arr, [x / n] * d)
-            if abs(v) > best_val:
-                best_x, best_val = np.sign(v) * x / n if v != 0 else x / n, abs(v)
-        if best_x is None:
-            return np.zeros(A.dims[0]), 0.0
-        return best_x, contract_all(arr, [best_x] * d)
+        units = [x / n for x in xs if (n := lp_norm(x, pf)) != 0.0]
+        best_x, value = _first_best(arr, (s * u for u in units for s in (1.0, -1.0)))
+        return (np.zeros(arr.shape[0]), 0.0) if best_x is None else (best_x, value)
     x_hat = best_y / nrm
-    return x_hat, contract_all(arr, [x_hat] * d)
+    return x_hat, contract_all(arr, [x_hat] * arr.ndim)
 
 
 def polarize_even(A, xs, p):
@@ -119,37 +124,21 @@ def polarize_even(A, xs, p):
 
     The average is feasible without renormalization because each x^j sits in
     the unit ball and the coefficients are 1/d in magnitude.  Only beta_1 = +1
-    is enumerated, as -beta gives the negated point and the same value.  A
-    positive combination is pushed out to the L_p sphere (which can only
-    increase an even-degree homogeneous value); if every combination is
-    nonpositive the origin is returned, since f(0) = 0 dominates.
+    is enumerated, as -beta gives the negated point and the same value.  The
+    decoupled vectors themselves are feasible candidates too, and can win when
+    every admissible combination lands in a negative region.  A positive
+    winner is pushed out to the L_p sphere (which can only increase an
+    even-degree homogeneous value); if every candidate is nonpositive the
+    origin is returned, since f(0) = 0 dominates.
     """
-    A = as_tensor(A)
-    d = A.order
-    if d % 2 == 1 or d < 2:
-        raise DomainError("polarize_even needs even degree >= 2")
-    if d > _BETA_GATE:
-        raise ResourceLimitError(f"degree {d} exceeds the sign-enumeration gate {_BETA_GATE}")
-    pf = check_p(p)
-    xs = _check_xs(A, xs)
-    arr = A.data
-    best_x, best_val = None, -math.inf
-    for beta in itertools.product((1.0,), *[(1.0, -1.0)] * (d - 1)):
-        if np.prod(beta) != 1.0:
-            continue
-        x = sum(b * xj for b, xj in zip(beta, xs)) / d
-        val = contract_all(arr, [x] * d)
-        if val > best_val:
-            best_x, best_val = x, val
-    # the decoupled vectors themselves are feasible candidates too, and can
-    # win when every admissible combination lands in a negative region
-    for x in xs:
-        val = contract_all(arr, [x] * d)
-        if val > best_val:
-            best_x, best_val = x, val
+    arr, pf, xs = _polarization_args(A, xs, p, False)
+    d = arr.ndim
+    combos = (sum(b * xj for b, xj in zip(beta, xs)) / d
+              for beta in _half_signs(d) if np.prod(beta) == 1.0)
+    best_x, best_val = _first_best(arr, itertools.chain(combos, xs))
     nrm = lp_norm(best_x, pf)
     if best_val <= 0.0 or nrm == 0.0:
-        return np.zeros(A.dims[0]), 0.0
+        return np.zeros(arr.shape[0]), 0.0
     x_hat = best_x / nrm
     return x_hat, contract_all(arr, [x_hat] * d)
 

@@ -42,8 +42,8 @@ import numpy as np
 from .config import SolverConfig
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from .sampler import STREAM_TRIALS, derive_rng
-from .tensor import _TINY, holder_rows
-from .validation import INF, as_float_array, as_matrix, check_p
+from .tensor import holder_rows
+from .validation import INF, TINY, as_float_array, as_matrix, check_p
 
 KRIVINE_C = math.log(1.0 + math.sqrt(2.0))  # sinh(KRIVINE_C) = 1
 KG_BOUND = math.pi / (2.0 * KRIVINE_C)  # < 1.783
@@ -51,7 +51,7 @@ KG_BOUND = math.pi / (2.0 * KRIVINE_C)  # < 1.783
 # stacks are solved in chunks, which bounds the solver's working memory at
 # about a dozen such arrays whatever k and N are
 _STACK_ELEMS = 1 << 13
-_SQRT_TINY = math.sqrt(_TINY)  # a smaller norm has subnormal squares
+_SQRT_TINY = math.sqrt(TINY)  # a smaller norm has subnormal squares
 # from step 2 * _EXTRAP_EVERY on, every _EXTRAP_EVERY-th step of a start still
 # ascending also tries an extrapolated step (see _extrapolated_step), on
 # matrices with m + n <= _EXTRAP_MAX_N: the contractions the recursion solves

@@ -165,23 +165,22 @@ def draw_candidates(seed: int, path: tuple, count: int, n: int, p) -> np.ndarray
     return xi / np.array([r if r > 0 else 1.0 for r in roots])[:, None]
 
 
-def sample_count(n: int, p, amplified: bool = True, max_samples: int | None = None) -> int:
+def sample_count(n: int, p, max_samples: int | None = None) -> int:
     """Number of slot candidates to draw for a dimension-n slot.
 
-    ceil((ln 2) * n^delta0 / c0) when p = inf, ceil((ln 2) * n^c2 / c1) for
-    finite p; ``amplified`` doubles the ln 2 factor.  Capped at
-    ``max_samples`` when given (the guarantee then holds with reduced
-    probability).
+    ceil(2 (ln 2) * n^delta0 / c0) when p = inf, ceil(2 (ln 2) * n^c2 / c1)
+    for finite p.  Capped at ``max_samples`` (at least 1) when given; the
+    guarantee then holds with reduced probability.
     """
     if n < 1:
         raise DomainError("need n >= 1")
+    if max_samples is not None and max_samples < 1:
+        raise DomainError(f"max_samples must be at least 1, got {max_samples}")
     pf = check_p(p)
-    factor = 2.0 * math.log(2.0) if amplified else math.log(2.0)
+    factor = 2.0 * math.log(2.0)
     if pf == INF:
         m = factor * n ** KN.delta0 / KN.c0
     else:
         m = factor * n ** KN.c2 / KN.c1
     count = math.ceil(m)
-    if max_samples is not None:
-        count = min(count, int(max_samples))
-    return max(count, 1)
+    return count if max_samples is None else min(count, int(max_samples))

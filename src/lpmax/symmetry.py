@@ -5,8 +5,8 @@ tensor of side N = sum n_j whose (chi_1, ..., chi_d) block is the
 chi-transpose of A when chi is a permutation of (1..d) and zero otherwise.
 It satisfies f_sym(A)(stack(xs)) = d! * F_A(x^1, ..., x^d), which is what lets
 a polynomial solver attack a multilinear problem and vice versa.  The
-rebalancing step turns a stacked solution with uneven block norms into one
-with unit block norms without decreasing a positive form value.
+rebalancing step divides each block of a stacked solution by its own norm,
+which gives unit block norms without decreasing a positive form value.
 """
 from __future__ import annotations
 
@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateInputError, DomainError, ResourceLimitError,
-                     ShapeError)
+from .errors import DegenerateInputError, DomainError, ResourceLimitError, ShapeError
 from .tensor import DENSE_CAP, Tensor, as_tensor, eval_multilinear
-from .validation import INF, as_matrix, as_vector, check_p, lp_norm
+from .validation import as_matrix, as_vector, check_p, lp_norm
 
 
 @dataclass(frozen=True)
@@ -95,50 +94,25 @@ def embed_matrix(B, d: int) -> Tensor:
     return Tensor(B.reshape((1,) * (d - 2) + B.shape))
 
 
-def rebalance_blocks(A, zs, p, *, tol: float = 1e-10, max_iter: int = 10000) -> list[np.ndarray]:
-    """Rescale blocks so every block p-norm is 1, never decreasing a positive F_A.
+def rebalance_blocks(A, zs, p) -> list[np.ndarray]:
+    """Divide every block by its p-norm, never decreasing a positive F_A.
 
-    Input mass is first normalized so that sum_i ||z^i||_p^p = d.  Then the
-    block with the largest norm deviation is rescaled against all others,
-    which multiplies F_A by (d-1)^((d-1)/p) * ((d-theta)^(d-1) * theta)^(-1/p)
-    >= 1, until all block norms sit within ``tol`` of 1.  p = inf blocks are
-    independently normalizable and handled directly.
+    F_A is multilinear, so the result's value is F_A(z) / prod_i ||z^i||_p, and
+    by AM-GM prod_i ||z^i||_p^p <= (sum_i ||z^i||_p^p / d)^d, which is at most
+    1 whenever the block masses sum to at most d (every feasible input).
     """
     A = as_tensor(A)
-    d = A.order
-    if len(zs) != d:
-        raise ShapeError(f"need {d} blocks, got {len(zs)}")
-    zs = [as_vector(z, n, name=f"block {i+1}") for i, (z, n) in enumerate(zip(zs, A.dims))]
-    if p == INF:
-        out = []
-        for i, z in enumerate(zs):
-            nrm = lp_norm(z, INF)
-            if nrm == 0.0:
-                raise DegenerateInputError(f"block {i+1} is zero")
-            out.append(z / nrm)
-        return out
+    if len(zs) != A.order:
+        raise ShapeError(f"need {A.order} blocks, got {len(zs)}")
     pf = check_p(p, allow_low=True)
-    masses = np.array([np.sum(np.abs(z) ** pf) for z in zs])
-    if np.any(masses == 0.0):
-        raise DegenerateInputError("rebalance_blocks got a zero block")
-    scale = (d / masses.sum()) ** (1.0 / pf)
-    zs = [z * scale for z in zs]
-    masses = masses * (d / masses.sum())
-    for _ in range(max_iter):
-        devs = np.abs(masses ** (1.0 / pf) - 1.0)
-        j = int(np.argmax(devs))
-        if devs[j] <= tol:
-            return zs
-        theta = masses[j]
-        other = ((d - 1) / (d - theta)) ** (1.0 / pf)
-        for i in range(d):
-            if i == j:
-                zs[i] = zs[i] * theta ** (-1.0 / pf)
-                masses[i] = 1.0
-            else:
-                zs[i] = zs[i] * other
-                masses[i] = masses[i] * (d - 1) / (d - theta)
-    raise ConvergenceError(f"block norms not balanced after {max_iter} sweeps", best=zs)
+    out = []
+    for i, (z, n) in enumerate(zip(zs, A.dims)):
+        z = as_vector(z, n, name=f"block {i+1}")
+        nrm = lp_norm(z, pf)
+        if nrm == 0.0:
+            raise DegenerateInputError(f"block {i+1} is zero")
+        out.append(z / nrm)
+    return out
 
 
 def permutation_expansion(A, zs) -> float:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ResourceLimitError, ShapeError
-from .validation import INF, as_vector
+from .validation import INF, TINY, as_vector
 
 DENSE_CAP = 10_000_000  # default dense_cap of Tensor, tensor_from_doc and symmetrize
 SYM_TOL = 1e-9  # asymmetry polynomial inputs may carry, relative to 1 + max|a|
@@ -29,7 +29,6 @@ SYM_TOL = 1e-9  # asymmetry polynomial inputs may carry, relative to 1 + max|a|
 # 2^-1075 (about 2.5e-324) per operation; _BOUND_TINY covers 10^23 of them.
 _BOUND_SLACK = 1e-9
 _BOUND_TINY = 1e-300
-_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 class Tensor:
@@ -199,7 +198,7 @@ def row_norms(X: np.ndarray, r: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         total = np.sum(np.abs(X) ** r, axis=1)
     out = total ** (1.0 / r)
-    redo = np.flatnonzero(~((total >= _TINY) & (total < INF)))
+    redo = np.flatnonzero(~((total >= TINY) & (total < INF)))
     if redo.size:
         absx = np.abs(X[redo])
         top = absx.max(axis=1)
@@ -226,9 +225,9 @@ def holder_rows(Y: np.ndarray, q: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         sums = power_sums(A)
         # zero, inf and nan rows are never rescaled, so min and max may skip a nan sum
-        if not min(sums) >= _TINY or not max(sums) < INF:
+        if not min(sums) >= TINY or not max(sums) < INF:
             total, top = np.array(sums), A.max(axis=1)
-            bad = ~((total >= _TINY) & (total < INF)) & (top > 0.0) & (top < INF)
+            bad = ~((total >= TINY) & (total < INF)) & (top > 0.0) & (top < INF)
             Y = Y / np.where(bad, top, 1.0)[:, None]
             A = np.abs(Y)
             sums = power_sums(A)

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 INF = math.inf
+TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 def as_float_array(x, name: str = "array") -> np.ndarray:
@@ -36,7 +37,7 @@ def as_matrix(B, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def check_p(p, *, low: float = 2.0, allow_low: bool = False) -> float:
+def check_p(p, *, allow_low: bool = False) -> float:
     """Validate an L_p exponent and return it as a float (math.inf allowed).
 
     Default domain is p in (2, inf]; pass allow_low=True for p in [2, inf].
@@ -46,8 +47,8 @@ def check_p(p, *, low: float = 2.0, allow_low: bool = False) -> float:
     pf = float(p)
     if math.isnan(pf):
         raise DomainError("p must be a number or 'inf'")
-    if pf < low or (pf == low and not allow_low):
-        rng = f"[{low}, inf]" if allow_low else f"({low}, inf]"
+    if pf < 2.0 or (pf == 2.0 and not allow_low):
+        rng = "[2.0, inf]" if allow_low else "(2.0, inf]"
         raise DomainError(f"p={pf} outside the supported range {rng}")
     return pf
 
@@ -76,7 +77,11 @@ def conjugate_exponent(p) -> float:
 
 
 def lp_norm(x, p) -> float:
-    """The L_p norm for p in [1, inf]."""
+    """The L_p norm for p in [1, inf].
+
+    A power sum that under- or overflows (it falls outside [smallest normal,
+    inf)) while max|x| is finite and nonzero is taken over x / max|x|, as in
+    tensor.row_norms; every other input keeps the plain power sum's bits."""
     v = np.asarray(x, dtype=np.float64)
     if p == INF:
         return float(np.max(np.abs(v))) if v.size else 0.0
@@ -85,4 +90,9 @@ def lp_norm(x, p) -> float:
         return float(np.sum(np.abs(v)))
     if pf == 2.0:
         return float(np.linalg.norm(v))
-    return float(np.sum(np.abs(v) ** pf) ** (1.0 / pf))
+    absv = np.abs(v)
+    with np.errstate(over="ignore"):
+        total = np.sum(absv ** pf)
+    if not TINY <= total < INF and 0.0 < (top := absv.max(initial=0.0)) < INF:
+        return float(top * np.sum((absv / top) ** pf) ** (1.0 / pf))
+    return float(total ** (1.0 / pf))

@@ -1,5 +1,6 @@
 import pytest
 
+from lpmax.errors import DomainError
 from lpmax.estimators import (
     HomogeneousPolynomialMaximizer,
     MultilinearFormMaximizer,
@@ -37,6 +38,12 @@ def test_ml_estimator_fit(rng):
     assert est.score() == est.value_
     assert est.n_trials_used_ == 4
     assert est.certificate_.seed == 1
+
+
+def test_ml_estimator_rejects_max_samples_below_one(rng):
+    A = rng.standard_normal((2, 2, 2))
+    with pytest.raises(DomainError):
+        MultilinearFormMaximizer(p=INF, seed=1, trials=8, max_samples=0).fit(A)
 
 
 def test_ml_estimator_deterministic(rng):

@@ -156,6 +156,16 @@ def test_polarize_odd_degenerate_inputs():
     x_hat, value = polarize_odd(A, xs, INF)
     assert value == pytest.approx(1.0)
     assert lp_norm(x_hat, INF) <= 1.0 + 1e-12
+    # f = Re(z^3) is negative at three points that sum to zero: the first
+    # combination collapses and wins, and the fallback takes the best -x^j / ||x^j||
+    A = np.zeros((2, 2, 2))
+    A[0, 0, 0] = 1.0
+    A[0, 1, 1] = A[1, 0, 1] = A[1, 1, 0] = -1.0
+    s = math.sqrt(0.75)
+    xs = [np.array([0.5, s]), np.array([-1.0, 0.0]), np.array([0.5, -s])]
+    x_hat, value = polarize_odd(A, xs, 3.0)
+    assert np.array_equal(x_hat, -xs[0] / lp_norm(xs[0], 3.0))
+    assert value == eval_poly(A, x_hat) > 1.0
     # all-zero xs are the only true collapse; the certificate is the origin
     x_hat, value = polarize_odd(A, [np.zeros(2)] * 3, INF)
     assert value == 0.0
@@ -182,6 +192,24 @@ def test_polarize_even_negative_form_returns_origin():
     x_hat, value = polarize_even(A, [v / lp_norm(v, INF)] * 4, INF)
     assert value == 0.0
     assert np.array_equal(x_hat, np.zeros(2))
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_polarizers_are_scale_invariant(p, scale):
+    # the certificate is normalized onto the sphere, so scaling the decoupled
+    # vectors must not change it, even where their power sums under- or overflow
+    rng = np.random.default_rng(1717)
+    for polarize, d in ((polarize_odd, 3), (polarize_even, 2)):
+        B = rng.standard_normal((3, 3))
+        A = random_supersym(rng, 3, 3) if d == 3 else B @ B.T
+        xs = [rng.standard_normal(3) for _ in range(d)]
+        xs = [x / lp_norm(x, p) for x in xs]
+        x_hat, value = polarize(A, xs, p)
+        assert value > 0.0
+        got, got_value = polarize(A, [scale * x for x in xs], p)
+        assert np.allclose(got, x_hat, rtol=1e-12, atol=0.0)
+        assert got_value == pytest.approx(value, rel=1e-12)
 
 
 def test_polarize_degree_gate(rng):

@@ -66,7 +66,7 @@ def test_certificate_invariants(rng, p):
     assert cert.value >= 0.0
     assert cert.value == pytest.approx(eval_multilinear(A, cert.xs), rel=1e-10)
     assert cert.relax_value >= cert.value / KG_BOUND - 1e-6
-    assert cert.trials_used == sample_count(3, p, amplified=True, max_samples=6)
+    assert cert.trials_used == sample_count(3, p, max_samples=6)
 
 
 def test_monotone_in_max_samples(rng):

@@ -105,19 +105,17 @@ def test_batch_domain():
 
 def test_sample_count_frozen_values():
     # ceil(2 ln2 * 144 * 16^{1/40}) and friends, computed from the constants
-    assert sample_count(16, 4.0, amplified=True, max_samples=None) == 214
-    assert sample_count(16, 4.0, amplified=False, max_samples=None) == 107
-    assert sample_count(1, INF, amplified=False, max_samples=None) == 50
-    assert sample_count(4, INF, amplified=True, max_samples=None) == 103
-    assert sample_count(8, INF, amplified=True, max_samples=None) == 105
+    assert sample_count(16, 4.0, max_samples=None) == 214
+    assert sample_count(4, INF, max_samples=None) == 103
+    assert sample_count(8, INF, max_samples=None) == 105
 
 
 def test_sample_count_matches_formula():
     for n in (1, 3, 16, 100):
         want = math.ceil(2.0 * math.log(2.0) * n**KN.c2 / KN.c1)
-        assert sample_count(n, 3.0, amplified=True, max_samples=None) == want
-        want = math.ceil(math.log(2.0) * n**KN.delta0 / KN.c0)
-        assert sample_count(n, INF, amplified=False, max_samples=None) == want
+        assert sample_count(n, 3.0, max_samples=None) == want
+        want = math.ceil(2.0 * math.log(2.0) * n**KN.delta0 / KN.c0)
+        assert sample_count(n, INF, max_samples=None) == want
 
 
 def test_sample_count_monotone_in_n():
@@ -127,10 +125,18 @@ def test_sample_count_monotone_in_n():
 
 
 def test_sample_count_cap():
-    assert sample_count(16, 4.0, amplified=True, max_samples=100) == 100
-    assert sample_count(16, 4.0, amplified=True, max_samples=10**6) == 214
+    assert sample_count(16, 4.0, max_samples=100) == 100
+    assert sample_count(16, 4.0, max_samples=10**6) == 214
+    assert sample_count(16, 4.0, max_samples=1) == 1
     with pytest.raises(DomainError):
         sample_count(0, 4.0)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_sample_count_rejects_a_cap_below_one(cap):
+    # as --max-samples does: a cap below one would silently run one candidate
+    with pytest.raises(DomainError):
+        sample_count(16, 4.0, max_samples=cap)
 
 
 def test_success_probability_floor_linf():

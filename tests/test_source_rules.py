@@ -45,6 +45,16 @@ def test_one_first_slot_contraction():
     assert calls == [("tensor.py", "slot_bounds")]
 
 
+def test_only_the_relaxation_raises_convergence_errors():
+    # exit 5 means a relaxation solve did not converge, and nothing else
+    raisers = sorted({path.name
+                      for path in SRC.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                      if isinstance(node, ast.Raise) and node.exc is not None
+                      and "ConvergenceError" in ast.dump(node.exc)})
+    assert raisers == ["mlopt.py", "pqnorm.py"]
+
+
 def _import_parts(module):
     """Every dotted part of every name the module imports."""
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))

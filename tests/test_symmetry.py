@@ -115,6 +115,27 @@ def test_rebalance_blocks_unit_norms(rng, p):
     assert eval_multilinear(A, out) >= v0 - 1e-12
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, INF])
+def test_rebalance_divides_each_block_by_its_norm(rng, p):
+    # the closed form: no sweep, one division per block
+    A = rng.standard_normal((2, 3, 2))
+    zs = [rng.standard_normal(n) * s for n, s in zip((2, 3, 2), (0.3, 2.0, 1e-3))]
+    out = rebalance_blocks(A, zs, p)
+    for z, orig in zip(out, zs):
+        assert z.tobytes() == (orig / lp_norm(orig, p)).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_rebalance_is_scale_safe(rng, p, scale):
+    A = rng.standard_normal((2, 3, 2))
+    zs = [rng.standard_normal(n) for n in (2, 3, 2)]
+    out = rebalance_blocks(A, [scale * z for z in zs], p)
+    for z, orig in zip(out, zs):
+        assert abs(lp_norm(z, p) - 1.0) <= 1e-12
+        assert np.allclose(z, orig / lp_norm(orig, p), rtol=1e-12, atol=0.0)
+
+
 def test_rebalance_preserves_direction(rng):
     A = rng.standard_normal((2, 2))
     zs = [np.array([0.1, 0.0]), np.array([0.0, 5.0])]

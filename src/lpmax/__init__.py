@@ -8,7 +8,7 @@ from .errors import (BoundViolationError, ConvergenceError, DegenerateInputError
 from .estimators import (HomogeneousPolynomialMaximizer,
                          MultilinearFormMaximizer, PqNormEstimator)
 from .hpopt import HpCertificate, HpInstance, polarize_even, polarize_odd, solve_hp
-from .mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
+from .mlopt import MlCertificate, MlInstance, solve_ml, solve_ml_d2
 from .oracle import (OracleMethod, OracleResult, exact_ml_linf, fn_check,
                      grid_hp, grid_ml, oracle_ml, sym_equivalence_check)
 from .pqnorm import (GramSolution, RoundedPair, pq_norm_lb, round_gram, solve_vecp,
@@ -35,7 +35,7 @@ __all__ = [
     "KN", "derive_rng", "sample_rademacher", "sample_pgauss", "sample_count",
     "GramSolution", "RoundedPair", "solve_vecp", "solve_vecp_stack", "round_gram",
     "pq_norm_lb",
-    "MlInstance", "MlCertificate", "solve_ml", "solve_ml_d2", "relax_to_ml",
+    "MlInstance", "MlCertificate", "solve_ml", "solve_ml_d2",
     "HpInstance", "HpCertificate", "solve_hp", "polarize_odd", "polarize_even",
     "OracleMethod", "OracleResult", "exact_ml_linf", "grid_ml", "grid_hp", "oracle_ml",
     "fn_check", "sym_equivalence_check",

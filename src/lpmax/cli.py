@@ -14,14 +14,14 @@ instance, 4 resource gate, 5 non-convergence, 6 violated recovery bound.
 """
 from __future__ import annotations
 
+import enum
 import json
 import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple
 
 import click
@@ -34,7 +34,6 @@ from .hpopt import HpInstance, solve_hp
 from .mlopt import MlInstance, solve_ml
 from .oracle import grid_hp, oracle_ml
 from .pqnorm import pq_norm_lb, solve_vecp  # noqa: F401  (bench/tests reads cli.solve_vecp)
-from .sampler import sample_count
 from .symmetry import symmetrize
 from .tensor import load_tensor, save_tensor
 from .validation import INF, check_p, parse_exponent
@@ -110,8 +109,17 @@ def _fmt(v):
     return str(v)
 
 
-def _listify(x):
-    return np.asarray(x, dtype=float).tolist()
+def _plain(v):
+    if isinstance(v, np.ndarray):
+        return np.asarray(v, dtype=float).tolist()
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    return v.value if isinstance(v, enum.Enum) else v
+
+
+def _block(result, drop=()) -> dict:
+    """A result dataclass as a report block: vectors become lists, enums their value."""
+    return {f.name: _plain(getattr(result, f.name)) for f in fields(result) if f.name not in drop}
 
 
 def _p_str(p) -> str:
@@ -188,50 +196,36 @@ def _solver_config(vals) -> SolverConfig:
 # ---------------------------------------------------------------------------
 
 def _solve_ml(A, p, vals):
-    cfg = _solver_config(vals)
-    cert = solve_ml(MlInstance(A, p, cfg))
-    uncapped = sample_count(A.dims[0], p, max_samples=None) if A.order >= 3 else cfg.trials
-    return cert.value, {
-        "value": cert.value,
-        "relax_value": cert.relax_value,
-        "trials_used": cert.trials_used,
-        "samples_capped": bool(uncapped > cert.trials_used),
-        "xs": [_listify(x) for x in cert.xs],
-    }
+    cert = solve_ml(MlInstance(A, p, _solver_config(vals)))
+    return cert.value, _block(cert, drop=("seed",))
 
 
 def _solve_hp(A, p, vals):
     cert = solve_hp(HpInstance(A, p, _solver_config(vals)))
-    return cert.value, {"value": cert.value, "ml_value": cert.ml_value,
-                        "parity": cert.parity, "x_hat": _listify(cert.x_hat)}
+    return cert.value, _block(cert, drop=("seed",))
 
 
 def _pqnorm(A, p, vals):
     if A.order != 2:
         raise ShapeError(f"pqnorm needs an order-2 tensor, got order {A.order}")
     g, pair = pq_norm_lb(A.data, p, _solver_config(vals))
-    return pair.value, {"value": pair.value, "relax_value": g.value,
-                        "y": _listify(pair.y), "z": _listify(pair.z)}
+    return pair.value, {**_block(pair), "relax_value": g.value}
 
 
-# the independent oracle of each mode.  Solvers and oracles are looked up in
-# this module's globals at call time, so rebinding one (as tracers do) is seen
+# the independent oracle of each mode; a bilinear problem is the order-2
+# multilinear one.  Solvers and oracles are looked up in this module's
+# globals at call time, so rebinding one (as tracers do) is seen
 _ORACLES = {
     "ml": lambda A, p, steps: oracle_ml(A, p, steps, refine=6),
     "hp": lambda A, p, steps: grid_hp(A, p, steps, refine=8),
-    "pqnorm": lambda A, p, steps: oracle_ml(A, p, steps, refine=6),
 }
-
-
-def _oracle_block(res):
-    return {"value": res.value, "method": res.method.value, "resolution": res.resolution}
 
 
 def _oracle(A, p, vals):
     if vals["mode"] == "pqnorm" and A.order != 2:
         raise ShapeError("pqnorm oracle needs an order-2 tensor")
-    res = _ORACLES[vals["mode"]](A, p, vals["steps"])
-    return res.value, {**_oracle_block(res), "argmax": [_listify(x) for x in res.argmax]}
+    res = _ORACLES["hp" if vals["mode"] == "hp" else "ml"](A, p, vals["steps"])
+    return res.value, _block(res)
 
 
 class Command(NamedTuple):
@@ -250,7 +244,7 @@ COMMANDS = {
                         "Maximize the multilinear form of FILE over independent L_p balls."),
     "solve-hp": Command(_solve_hp, _ECHO, "hp", _SOLVE_OPTIONS,
                         "Maximize the homogeneous polynomial of a super-symmetric FILE."),
-    "pqnorm": Command(_pqnorm, ("trials", "tol", "strategy", "steps"), "pqnorm", _SOLVE_OPTIONS,
+    "pqnorm": Command(_pqnorm, ("trials", "tol", "strategy", "steps"), "ml", _SOLVE_OPTIONS,
                       "Relax and round the bilinear problem for an order-2 FILE."),
     "oracle": Command(_oracle, ("mode", "steps"), None, ("p", "mode", "steps", "format"),
                       "Independent brute-force value for FILE (never reads solver state)."),
@@ -276,7 +270,7 @@ def run(command, file, p, **values) -> RunReport:
         if cmd.oracle and vals["oracle"]:
             res = _ORACLES[cmd.oracle](A, pex, vals["steps"])
             ratio = float(value / res.value) if res.value != 0.0 else None
-            oracle_block = {**_oracle_block(res), "ratio": ratio}
+            oracle_block = {**_block(res, drop=("argmax",)), "ratio": ratio}
     wall = time.perf_counter() - t0
     return RunReport(
         command=command,
@@ -288,12 +282,6 @@ def run(command, file, p, **values) -> RunReport:
         oracle=oracle_block,
         timing={"wall_time_s": round(wall, 6)},
     )
-
-
-cmd_solve_ml = partial(run, "solve-ml")
-cmd_solve_hp = partial(run, "solve-hp")
-cmd_pqnorm = partial(run, "pqnorm")
-cmd_oracle = partial(run, "oracle")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Solver configuration shared by the multilinear and polynomial pipelines."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,3 @@ class SolverConfig:
     strategy: str = "krivine"
     max_samples: int = 256
     seed: int = 0
-
-    def updated(self, **kw) -> "SolverConfig":
-        return replace(self, **kw)

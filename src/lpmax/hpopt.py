@@ -14,37 +14,29 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SolverConfig
-from .errors import (BoundViolationError, DegenerateInputError, DomainError,
-                     ResourceLimitError, ShapeError)
-from .mlopt import relax_to_ml, solve_ml
+from .errors import BoundViolationError, DomainError, ResourceLimitError, ShapeError
+from .mlopt import MlInstance, solve_ml
 from .tensor import SYM_TOL, Tensor, as_tensor, contract_all, is_supersymmetric
 from .validation import as_vector, check_p, lp_norm
 
 _BETA_GATE = 20  # the 2^(d-1) sign patterns with beta_1 = +1 are enumerated exhaustively
 
 
-@dataclass(frozen=True)
-class HpInstance:
+class HpInstance(MlInstance):
     """A polynomial maximization problem; the tensor must be super-symmetric.
 
-    Asymmetry within ``SYM_TOL`` is averaged away over all index permutations.
+    It is its own multilinear relaxation: the MlInstance of the same tensor,
+    which solve_ml takes as it is.  Asymmetry within ``SYM_TOL`` is averaged
+    away over all index permutations.
     """
 
-    tensor: Tensor
-    p: float
-    cfg: SolverConfig = field(default_factory=SolverConfig)
-
     def __post_init__(self):
-        t = as_tensor(self.tensor)
-        if t.order < 2:
-            raise ShapeError("polynomial instances need degree >= 2")
-        if not t.data.any():
-            raise DegenerateInputError("instance tensor is zero")
+        super().__post_init__()
+        t = self.tensor
         if not t.supersymmetric:
             data = t.data
             if not is_supersymmetric(data):
@@ -52,9 +44,7 @@ class HpInstance:
                     raise DomainError("polynomial instances need a super-symmetric tensor")
                 perms = itertools.permutations(range(t.order))
                 data = sum(np.transpose(data, perm) for perm in perms) / math.factorial(t.order)
-            t = Tensor(data, supersymmetric=True)
-        object.__setattr__(self, "tensor", t)
-        object.__setattr__(self, "p", check_p(self.p))
+            object.__setattr__(self, "tensor", Tensor(data, supersymmetric=True))
 
 
 @dataclass(frozen=True)
@@ -67,7 +57,8 @@ class HpCertificate:
 
 
 def _polarization_args(A, xs, p, odd: bool):
-    """(tensor data, p, validated xs) for polarize_odd or polarize_even."""
+    """(tensor data, p, validated xs, e) for polarize_odd or polarize_even, where
+    e is the binary exponent of the largest |x^j_i|."""
     A = as_tensor(A)
     d = A.order
     if d % 2 != odd or d < 2 + odd:
@@ -79,7 +70,8 @@ def _polarization_args(A, xs, p, odd: bool):
     if len(xs) != d:
         raise ShapeError(f"need {d} vectors, got {len(xs)}")
     xs = [as_vector(x, n, name=f"xs[{i}]") for i, (x, n) in enumerate(zip(xs, A.dims))]
-    return A.data, pf, xs
+    e = math.frexp(max(float(np.max(np.abs(x))) for x in xs))[1]
+    return A.data, pf, xs, e
 
 
 def _half_signs(d: int):
@@ -87,11 +79,14 @@ def _half_signs(d: int):
     return itertools.product((1.0,), *[(1.0, -1.0)] * (d - 1))
 
 
-def _first_best(arr, points):
-    """The first point of largest f_A value, and that value; (None, -inf) if none beats -inf."""
+def _first_best(arr, points, e: int):
+    """The first point of largest f_A(2^-e * point), and that value; (None, -inf)
+    if none beats -inf.  Scaling by a power of two is exact, so it changes no
+    comparison that neither under- nor overflows, and e near the points' own
+    exponent keeps every value in range."""
     best_x, best_val = None, -math.inf
     for x in points:
-        val = contract_all(arr, [x] * arr.ndim)
+        val = contract_all(arr, [np.ldexp(x, -e)] * arr.ndim)
         if val > best_val:
             best_x, best_val = x, val
     return best_x, best_val
@@ -106,14 +101,14 @@ def polarize_odd(A, xs, p):
     back to the best of the +-x^j / ||x^j||_p so the certificate is never
     vacuous; the origin is left only when every x^j is zero.
     """
-    arr, pf, xs = _polarization_args(A, xs, p, True)
+    arr, pf, xs, e = _polarization_args(A, xs, p, True)
     # prod_{i != j} beta_i = (prod beta) * beta_j since beta_j^2 = 1
     best_y, _ = _first_best(arr, (float(np.prod(beta)) * sum(b * x for b, x in zip(beta, xs))
-                                  for beta in _half_signs(arr.ndim)))
+                                  for beta in _half_signs(arr.ndim)), e)
     nrm = lp_norm(best_y, pf)
     if nrm == 0.0:
         units = [x / n for x in xs if (n := lp_norm(x, pf)) != 0.0]
-        best_x, value = _first_best(arr, (s * u for u in units for s in (1.0, -1.0)))
+        best_x, value = _first_best(arr, (s * u for u in units for s in (1.0, -1.0)), 0)
         return (np.zeros(arr.shape[0]), 0.0) if best_x is None else (best_x, value)
     x_hat = best_y / nrm
     return x_hat, contract_all(arr, [x_hat] * arr.ndim)
@@ -131,11 +126,11 @@ def polarize_even(A, xs, p):
     even-degree homogeneous value); if every candidate is nonpositive the
     origin is returned, since f(0) = 0 dominates.
     """
-    arr, pf, xs = _polarization_args(A, xs, p, False)
+    arr, pf, xs, e = _polarization_args(A, xs, p, False)
     d = arr.ndim
     combos = (sum(b * xj for b, xj in zip(beta, xs)) / d
               for beta in _half_signs(d) if np.prod(beta) == 1.0)
-    best_x, best_val = _first_best(arr, itertools.chain(combos, xs))
+    best_x, best_val = _first_best(arr, itertools.chain(combos, xs), e)
     nrm = lp_norm(best_x, pf)
     if best_val <= 0.0 or nrm == 0.0:
         return np.zeros(arr.shape[0]), 0.0
@@ -144,9 +139,10 @@ def polarize_even(A, xs, p):
 
 
 def solve_hp(inst: HpInstance) -> HpCertificate:
-    """relax -> solve_ml -> polarize; odd degrees raise below the d!/d^d recovery floor.
+    """solve_ml on the instance, its own relaxation, then polarize; odd degrees raise
+    below the d!/d^d recovery floor.
     The certificate carries solve_ml's root seed, cfg.seed & MASK64."""
-    cert = solve_ml(relax_to_ml(inst))
+    cert = solve_ml(inst)
     d = inst.tensor.order
     if d % 2 == 1:
         x_hat, value = polarize_odd(inst.tensor, cert.xs, inst.p)

@@ -69,7 +69,7 @@ class MlInstance:
         t = as_tensor(self.tensor)
         object.__setattr__(self, "tensor", t)
         if t.order < 2:
-            raise ShapeError("multilinear instances need order >= 2")
+            raise ShapeError("instances need a tensor of order >= 2")
         if not t.data.any():
             raise DegenerateInputError("instance tensor is zero")
         object.__setattr__(self, "p", check_p(self.p))
@@ -84,6 +84,8 @@ class MlCertificate:
     never counts towards it, and never needs to: its bound, which caps its
     relaxation value, was below the best relaxation value already found.
     value is always recomputed from xs, and nonnegative by sign normalization.
+    samples_capped says that max_samples cut the first slot's candidate draws
+    below the analysis's sample_count.
     """
 
     xs: tuple
@@ -91,6 +93,7 @@ class MlCertificate:
     seed: int
     trials_used: int
     relax_value: float
+    samples_capped: bool
 
 
 def _key(arr: np.ndarray):
@@ -121,7 +124,7 @@ def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
             raise ConvergenceError("relaxation solve hit max_iter still gaining", best=g)
     else:  # a d = 2 instance is never stacked; solve_vecp raises on non-convergence
         g = solve_vecp(arr, p, cfg.tol, cfg.max_iter)
-    pair = round_gram(arr, g, p, cfg.strategy, cfg.trials, rng)
+    pair = round_gram(arr, g, cfg.strategy, cfg.trials, rng)
     return [pair.y, pair.z], pair.value, g.value
 
 
@@ -172,14 +175,16 @@ def solve_ml(inst: MlInstance) -> MlCertificate:
     A, p, cfg = inst.tensor, inst.p, inst.cfg
     root = int(cfg.seed) & MASK64
     xs, _value, relax = _solve_rec(A.data, p, cfg, root, (), {})
-    trials_used = cfg.trials if A.order == 2 else \
-        sample_count(A.dims[0], p, max_samples=cfg.max_samples)
+    trials_used, samples_capped = cfg.trials, False
+    if A.order >= 3:
+        trials_used = sample_count(A.dims[0], p, max_samples=cfg.max_samples)
+        samples_capped = sample_count(A.dims[0], p) > trials_used
     value = eval_multilinear(A, xs)
     if value < 0.0:
         xs[0] = -xs[0]
         value = -value
-    return MlCertificate(xs=tuple(xs), value=float(value), seed=root,
-                         trials_used=trials_used, relax_value=float(relax))
+    return MlCertificate(xs=tuple(xs), value=float(value), seed=root, trials_used=trials_used,
+                         relax_value=float(relax), samples_capped=samples_capped)
 
 
 def solve_ml_d2(B, p, cfg: SolverConfig | None = None) -> MlCertificate:
@@ -189,8 +194,3 @@ def solve_ml_d2(B, p, cfg: SolverConfig | None = None) -> MlCertificate:
     if inst.tensor.order != 2:
         raise ShapeError("solve_ml_d2 needs an order-2 tensor")
     return solve_ml(inst)
-
-
-def relax_to_ml(hp) -> MlInstance:
-    """Decouple a polynomial instance into its multilinear relaxation."""
-    return MlInstance(tensor=hp.tensor, p=hp.p, cfg=hp.cfg)

@@ -330,7 +330,7 @@ def _trial_sign_values(B, g: GramSolution, strategy: str, trials: int, rng):
     return vals, Y, Z
 
 
-def round_gram(B, g: GramSolution, p, strategy: str, trials: int, rng) -> RoundedPair:
+def round_gram(B, g: GramSolution, strategy: str, trials: int, rng) -> RoundedPair:
     """Best feasible sign pair over ``trials`` roundings of g drawn from ``rng``.
 
     The winning pair is sign-normalized (y flipped wholesale when y^T B z < 0)
@@ -357,4 +357,4 @@ def pq_norm_lb(B, p, cfg: SolverConfig | None = None) -> tuple[GramSolution, Rou
     """
     cfg = cfg or SolverConfig()
     g = solve_vecp(B, p, cfg.tol, cfg.max_iter)
-    return g, round_gram(B, g, p, cfg.strategy, cfg.trials, derive_rng(cfg.seed, STREAM_TRIALS))
+    return g, round_gram(B, g, cfg.strategy, cfg.trials, derive_rng(cfg.seed, STREAM_TRIALS))

@@ -41,14 +41,12 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class KNConstants:
-    """Constants from the randomized sampling analysis (delta1 is a lower bound)."""
+    """Constants from the randomized sampling analysis."""
 
     delta0: float = 1.0 / 48.0
     c0: float = 1.0 / 72.0
-    delta1: float = 3.0 / 6400.0
     c1: float = 1.0 / 144.0
     c2: float = 1.0 / 40.0
-    n_bar: int = 41
 
 
 KN = KNConstants()

@@ -128,7 +128,7 @@ def test_c05_relaxation_sandwich():
         B = rng.standard_normal((m, n))
         p = [3.0, 4.0, INF][k % 3]
         g = solve_vecp(B, p)
-        pair = round_gram(B, g, p, "krivine", 200, derive_rng(k, 0x51))
+        pair = round_gram(B, g, "krivine", 200, derive_rng(k, 0x51))
         if p == INF:
             orc = exact_ml_linf(B).value
         else:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 
@@ -12,12 +13,13 @@ from lpmax.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     RunReport,
-    cmd_oracle,
-    cmd_pqnorm,
-    cmd_solve_hp,
-    cmd_solve_ml,
     main,
+    run,
 )
+from lpmax.hpopt import HpCertificate
+from lpmax.mlopt import MlCertificate
+from lpmax.oracle import OracleResult
+from lpmax.pqnorm import RoundedPair
 from lpmax.tensor import load_tensor, save_tensor
 
 from conftest import random_supersym
@@ -236,11 +238,11 @@ def test_oracles_are_looked_up_on_the_cli_module(runner, files, monkeypatch):
 
 
 def test_direct_calls_ignore_config_file(files, tmp_path, monkeypatch):
-    plain = cmd_solve_ml(files["cube"], "inf", trials=16, max_samples=4)
+    plain = run("solve-ml", files["cube"], "inf", trials=16, max_samples=4)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5, "trials": 8, "strategy": "bogus", "oracle": True}))
     monkeypatch.setenv("LPMAX_CONFIG", str(cfg))
-    again = cmd_solve_ml(files["cube"], "inf", trials=16, max_samples=4)
+    again = run("solve-ml", files["cube"], "inf", trials=16, max_samples=4)
     plain.timing = again.timing = {}
     assert again == plain
     assert again.seed == 0 and again.oracle is None
@@ -252,23 +254,38 @@ def test_config_file_missing_is_parse_error(runner, files, monkeypatch):
     assert res.exit_code == EXIT_PARSE
 
 
-def test_cmd_functions_return_reports(files):
-    rep = cmd_solve_ml(files["cube"], "inf", trials=16, max_samples=4)
+def test_run_returns_reports(files):
+    rep = run("solve-ml", files["cube"], "inf", trials=16, max_samples=4)
     assert isinstance(rep, RunReport)
     assert rep.certificate["trials_used"] <= 4
     assert rep.certificate["samples_capped"] is True
-    rep = cmd_solve_hp(files["sym"], "inf", trials=16, max_samples=4)
+    rep = run("solve-hp", files["sym"], "inf", trials=16, max_samples=4)
     assert rep.certificate["parity"] == "odd"
-    rep = cmd_pqnorm(files["mat"], "3", trials=16)
+    rep = run("pqnorm", files["mat"], "3", trials=16)
     assert rep.certificate["value"] <= rep.certificate["relax_value"] + 1e-9
-    rep = cmd_oracle(files["mat"], "inf", mode="ml")
+    rep = run("oracle", files["mat"], "inf", mode="ml")
     assert rep.certificate["method"] == "vertex_enum"
     for r in (rep,):
         assert RunReport.from_json(r.to_json()) == r
 
 
+def test_reports_print_every_field_of_their_results(files):
+    def names(result, drop=()):
+        return {f.name for f in dataclasses.fields(result)} - set(drop)
+
+    fast = {"trials": 16, "max_samples": 4, "steps": 5, "oracle": True}
+    reports = [(run("solve-ml", files["cube"], "inf", **fast), names(MlCertificate, ["seed"])),
+               (run("solve-hp", files["sym"], "inf", **fast), names(HpCertificate, ["seed"])),
+               (run("pqnorm", files["mat"], "inf", **fast), names(RoundedPair) | {"relax_value"}),
+               (run("oracle", files["mat"], "inf", mode="pqnorm"), names(OracleResult))]
+    for rep, want in reports:
+        assert set(rep.certificate) == want, rep.command
+    for rep, _ in reports[:3]:
+        assert set(rep.oracle) == names(OracleResult, ["argmax"]) | {"ratio"}
+
+
 def test_text_format_is_stable(files):
-    rep = cmd_solve_ml(files["cube"], "inf", trials=16, max_samples=4)
+    rep = run("solve-ml", files["cube"], "inf", trials=16, max_samples=4)
     text = rep.to_text()
     lines = text.strip().split("\n")
     assert lines[0].startswith("command: ")

@@ -47,7 +47,7 @@ def test_config_frozen_and_updated():
     cfg = SolverConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = 3
-    cfg2 = cfg.updated(seed=3, trials=7)
+    cfg2 = dataclasses.replace(cfg, seed=3, trials=7)
     assert cfg2.seed == 3 and cfg2.trials == 7
     assert cfg.seed == 0  # original untouched
     assert cfg2.tol == cfg.tol

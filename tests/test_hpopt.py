@@ -194,15 +194,22 @@ def test_polarize_even_negative_form_returns_origin():
     assert np.array_equal(x_hat, np.zeros(2))
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e-100, 1e100, 1e200, 1e300])
 @pytest.mark.parametrize("p", [3.0, 4.0])
 def test_polarizers_are_scale_invariant(p, scale):
     # the certificate is normalized onto the sphere, so scaling the decoupled
-    # vectors must not change it, even where their power sums under- or overflow
+    # vectors must not change it, even where their power sums or the values
+    # f_A at their combinations under- or overflow
     rng = np.random.default_rng(1717)
-    for polarize, d in ((polarize_odd, 3), (polarize_even, 2)):
+    for polarize, d in ((polarize_odd, 3), (polarize_even, 2), (polarize_even, 4),
+                        (polarize_odd, 5)):
         B = rng.standard_normal((3, 3))
-        A = random_supersym(rng, 3, 3) if d == 3 else B @ B.T
+        if d % 2:
+            A = random_supersym(rng, 3, d)
+        elif d == 2:
+            A = B @ B.T
+        else:  # sum_r (B[:, r] . x)^4 is positive, so the origin cannot win
+            A = np.einsum("ir,jr,kr,lr->ijkl", B, B, B, B)
         xs = [rng.standard_normal(3) for _ in range(d)]
         xs = [x / lp_norm(x, p) for x in xs]
         x_hat, value = polarize(A, xs, p)

@@ -9,7 +9,7 @@ from lpmax import mlopt
 from lpmax.config import SolverConfig
 from lpmax.errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from lpmax.hpopt import HpInstance, solve_hp
-from lpmax.mlopt import MlCertificate, MlInstance, relax_to_ml, solve_ml, solve_ml_d2
+from lpmax.mlopt import MlCertificate, MlInstance, solve_ml, solve_ml_d2
 from lpmax.oracle import exact_ml_linf
 from lpmax.pqnorm import KG_BOUND, GramSolution, pq_norm_lb, round_gram, solve_vecp_stack
 from lpmax.sampler import MASK64, STREAM_CANDIDATE, STREAM_TRIALS, derive_rng, sample_count
@@ -69,6 +69,15 @@ def test_certificate_invariants(rng, p):
     assert cert.trials_used == sample_count(3, p, max_samples=6)
 
 
+def test_certificate_says_whether_max_samples_capped_the_draws(rng):
+    A = rng.standard_normal((3, 2, 2))
+    assert sample_count(3, INF) == 103
+    assert solve_ml(MlInstance(A, INF, small_cfg(max_samples=6))).samples_capped is True
+    assert solve_ml(MlInstance(A, INF, small_cfg(max_samples=10**6))).samples_capped is False
+    B = rng.standard_normal((3, 3))
+    assert solve_ml(MlInstance(B, INF, small_cfg(max_samples=1))).samples_capped is False
+
+
 def test_monotone_in_max_samples(rng):
     # candidate streams are indexed, so enlarging the budget keeps old draws
     A = rng.standard_normal((3, 3, 3))
@@ -102,13 +111,20 @@ def test_duplicate_slices_handle_zero_contractions():
     assert np.isfinite(cert.value)
 
 
-def test_relax_to_ml_passes_config_through(rng):
+def test_hp_instance_is_an_ml_instance(rng):
+    # a polynomial instance is its own multilinear relaxation, checked once
     S = random_supersym(rng, 2, 3)
-    hp = HpInstance(S, 3.0, small_cfg(seed=4))
-    ml = relax_to_ml(hp)
-    assert ml.p == 3.0
-    assert ml.cfg.seed == 4
-    assert np.array_equal(ml.tensor.data, hp.tensor.data)
+    hp = HpInstance(S, "7/2", small_cfg(seed=4))
+    assert isinstance(hp, MlInstance)
+    assert hp.p == 3.5 and hp.cfg.seed == 4 and hp.tensor.supersymmetric
+    a, b = solve_ml(hp), solve_ml(MlInstance(hp.tensor, hp.p, hp.cfg))
+    assert a.value == b.value and all(np.array_equal(x, y) for x, y in zip(a.xs, b.xs))
+    with pytest.raises(ShapeError, match="instances need a tensor of order >= 2"):
+        HpInstance(np.ones(3), INF)
+    with pytest.raises(DegenerateInputError):
+        HpInstance(np.zeros((2, 2, 2)), INF)
+    with pytest.raises(DomainError):
+        HpInstance(S, 2.0)
 
 
 def test_seed_changes_candidates(rng):
@@ -371,7 +387,7 @@ def test_matrix_bound_caps_relaxation_and_rounding(scale):
         tight = matrix_bounds(Cs, q, mlopt._DUAL_STEPS) + allowance
         assert (tight <= loose).all()
         for C, bound, (g, _) in zip(Cs, tight, solve_vecp_stack(Cs, p)):
-            pair = round_gram(C, g, p, "krivine", 32, derive_rng(k))
+            pair = round_gram(C, g, "krivine", 32, derive_rng(k))
             assert bound >= g.value and bound >= pair.value, (C, p)
 
 

@@ -227,7 +227,7 @@ def test_round_gram_feasible_pair(rng, strategy):
     for p in (3.0, INF):
         B = rng.standard_normal((4, 5))
         g = solve_vecp(B, p)
-        pair = round_gram(B, g, p, strategy, 50, derive_rng(0, 0x51))
+        pair = round_gram(B, g, strategy, 50, derive_rng(0, 0x51))
         assert pair.value >= 0.0
         assert lp_norm(pair.y, p) <= 1.0 + 1e-9
         assert lp_norm(pair.z, p) <= 1.0 + 1e-9
@@ -241,7 +241,7 @@ def test_round_gram_deterministic(rng):
     g = solve_vecp(B, INF)
     # the second rounding of g reuses its Krivine factor; the copy computes its own
     copy = pqnorm.GramSolution(g.u_dirs, g.v_dirs, g.u_lens, g.v_lens, g.value)
-    a, b, c = (round_gram(B, h, INF, "krivine", 25, derive_rng(9, 0x51)) for h in (g, g, copy))
+    a, b, c = (round_gram(B, h, "krivine", 25, derive_rng(9, 0x51)) for h in (g, g, copy))
     for r in (b, c):
         assert np.array_equal(a.y, r.y) and np.array_equal(a.z, r.z) and a.value == r.value
 
@@ -250,9 +250,9 @@ def test_round_gram_rejects_unknown_strategy(rng):
     B = rng.standard_normal((2, 2))
     g = solve_vecp(B, INF)
     with pytest.raises(DomainError):
-        round_gram(B, g, INF, "simplex", 10, derive_rng(0, 0x51))
+        round_gram(B, g, "simplex", 10, derive_rng(0, 0x51))
     with pytest.raises(DomainError):
-        round_gram(B, g, INF, "krivine", 0, derive_rng(0, 0x51))
+        round_gram(B, g, "krivine", 0, derive_rng(0, 0x51))
 
 
 def test_pq_norm_lb_identity():

@@ -75,6 +75,14 @@ def test_oracle_imports_no_solver():
     assert parts.isdisjoint({"pqnorm", "mlopt", "hpopt", "sampler", "estimators", "cli"})
 
 
+def test_cli_reads_the_sample_budget_from_the_certificate():
+    # whether max_samples capped the draws is solve_ml's decision, which its
+    # certificate states; the report prints it and works nothing out again
+    parts = _import_parts("cli.py")
+    assert "mlopt" in parts  # the walk sees the imports
+    assert "sampler" not in parts
+
+
 def test_shared_bound_sits_in_the_base_layer():
     # the solver prunes by the oracle scans' bound, so it lives in tensor, which
     # both may import, and the solver never reaches into the oracle; both take

@@ -13,10 +13,10 @@ from .oracle import (OracleMethod, OracleResult, exact_ml_linf, fn_check,
                      grid_hp, grid_ml, oracle_ml, sym_equivalence_check)
 from .pqnorm import (GramSolution, RoundedPair, pq_norm_lb, round_gram, solve_vecp,
                      solve_vecp_stack)
-from .sampler import KN, derive_rng, sample_count, sample_pgauss, sample_rademacher
-from .symmetry import (BlockPartition, embed_matrix, permutation_expansion,
-                       pi_transpose, rebalance_blocks, split, stack, symmetrize)
-from .tensor import (Tensor, as_tensor, contract, ContractionSpec, eval_multilinear,
+from .sampler import derive_rng, sample_count, sample_pgauss, sample_rademacher
+from .symmetry import (embed_matrix, permutation_expansion, pi_transpose,
+                       rebalance_blocks, split, stack, symmetrize)
+from .tensor import (Tensor, as_tensor, contract, eval_multilinear,
                      eval_poly, holder_dual, is_supersymmetric, load_tensor, save_tensor,
                      tensor_from_doc, tensor_to_doc)
 from .validation import conjugate_exponent, lp_norm, parse_exponent
@@ -27,12 +27,12 @@ __all__ = [
     "SolverConfig",
     "LpmaxError", "ShapeError", "DomainError", "DegenerateInputError",
     "ResourceLimitError", "ConvergenceError", "BoundViolationError",
-    "Tensor", "as_tensor", "ContractionSpec", "contract", "eval_multilinear",
+    "Tensor", "as_tensor", "contract", "eval_multilinear",
     "eval_poly", "holder_dual", "is_supersymmetric", "tensor_to_doc", "tensor_from_doc",
     "save_tensor", "load_tensor",
-    "BlockPartition", "stack", "split", "pi_transpose", "symmetrize",
+    "stack", "split", "pi_transpose", "symmetrize",
     "embed_matrix", "rebalance_blocks", "permutation_expansion",
-    "KN", "derive_rng", "sample_rademacher", "sample_pgauss", "sample_count",
+    "derive_rng", "sample_rademacher", "sample_pgauss", "sample_count",
     "GramSolution", "RoundedPair", "solve_vecp", "solve_vecp_stack", "round_gram",
     "pq_norm_lb",
     "MlInstance", "MlCertificate", "solve_ml", "solve_ml_d2",

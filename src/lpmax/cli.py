@@ -244,7 +244,8 @@ COMMANDS = {
                         "Maximize the multilinear form of FILE over independent L_p balls."),
     "solve-hp": Command(_solve_hp, _ECHO, "hp", _SOLVE_OPTIONS,
                         "Maximize the homogeneous polynomial of a super-symmetric FILE."),
-    "pqnorm": Command(_pqnorm, ("trials", "tol", "strategy", "steps"), "ml", _SOLVE_OPTIONS,
+    "pqnorm": Command(_pqnorm, ("trials", "tol", "strategy", "steps"), "ml",
+                      tuple(key for key in _SOLVE_OPTIONS if key != "max_samples"),
                       "Relax and round the bilinear problem for an order-2 FILE."),
     "oracle": Command(_oracle, ("mode", "steps"), None, ("p", "mode", "steps", "format"),
                       "Independent brute-force value for FILE (never reads solver state)."),
@@ -254,12 +255,16 @@ COMMANDS = {
 def run(command, file, p, **values) -> RunReport:
     """Run one table command on FILE and return its report.
 
-    ``values`` are the settings of ``_SETTINGS``; the ones left out take their
-    built-in default (``LPMAX_CONFIG`` is read only by the click commands).
-    Errors print ``error: ...`` to stderr and exit with the command's exit code.
+    ``values`` are the command's options; the ones left out take their
+    built-in default (``LPMAX_CONFIG`` is read only by the click commands), and
+    any other key exits 2.  Errors print ``error: ...`` to stderr and exit with
+    the command's exit code.
     """
     cmd = COMMANDS[command]
     with _exit_on(_PARSE_EXITS):
+        unknown = sorted(set(values) - set(cmd.options))
+        if unknown:
+            raise ValueError(f"{command} has no option {', '.join(unknown)}")
         vals = _resolve({**values, "p": p}, {})
         pex = _parse_p(vals["p"])
         A = load_tensor(file)
@@ -297,7 +302,8 @@ def _cli_command(name):
     def callback(file, **flags):
         with _exit_on(_PARSE_EXITS):
             vals = _resolve(flags, _config_defaults())
-        report = run(name, file, **vals)
+        # one config file serves every command, so only this one's options pass
+        report = run(name, file, **{key: vals[key] for key in COMMANDS[name].options})
         click.echo(report.render(vals["format"]), file=sys.stdout, nl=False)
 
     for key in reversed(COMMANDS[name].options):

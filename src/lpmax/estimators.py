@@ -4,17 +4,18 @@ These follow the scikit-learn parameter protocol — constructor keywords only
 store themselves, `get_params` / `set_params` round-trip them, `fit` computes
 and exposes trailing-underscore attributes — without importing scikit-learn.
 They exist so the solvers drop into pipelines and grid searches that only
-assume that protocol.
+assume that protocol.  A fitted estimator exposes its result as it is: the
+dataclass as ``certificate_`` and each of its fields ``f`` as ``f_``.
 """
 from __future__ import annotations
 
 import inspect
+from dataclasses import fields
 
 from .config import SolverConfig
 from .mlopt import MlInstance, solve_ml
 from .hpopt import HpInstance, solve_hp
 from .pqnorm import pq_norm_lb
-from .tensor import as_tensor
 
 
 class ParamEstimator:
@@ -43,6 +44,12 @@ class ParamEstimator:
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
+
+    def _expose(self, result):
+        self.certificate_ = result
+        for f in fields(result):
+            setattr(self, f.name + "_", getattr(result, f.name))
+        return self
 
     def _check_fitted(self):
         if not any(k.endswith("_") and not k.endswith("__") for k in vars(self)):
@@ -75,45 +82,31 @@ class _TensorMaximizer(ParamEstimator):
 class MultilinearFormMaximizer(_TensorMaximizer):
     """Randomized lower-bound maximizer for multilinear forms over L_p balls.
 
-    fit(A) runs the recursive sampling pipeline and exposes xs_, value_,
-    relax_value_ and the full certificate_.
+    fit(A) runs the recursive sampling pipeline and exposes its MlCertificate.
     """
 
     def fit(self, A, y=None):
-        inst = MlInstance(as_tensor(A), self.p, _config_from(self))
-        cert = solve_ml(inst)
-        self.certificate_ = cert
-        self.xs_ = cert.xs
-        self.value_ = cert.value
-        self.relax_value_ = cert.relax_value
-        self.n_trials_used_ = cert.trials_used
-        return self
+        return self._expose(solve_ml(MlInstance(A, self.p, _config_from(self))))
 
 
 class HomogeneousPolynomialMaximizer(_TensorMaximizer):
     """Maximize a super-symmetric polynomial over the L_p ball.
 
     fit(A) relaxes to the multilinear problem, solves it, and polarizes back;
-    exposes x_hat_, value_, ml_value_, parity_ and certificate_.
+    exposes its HpCertificate.
     """
 
     def fit(self, A, y=None):
-        inst = HpInstance(as_tensor(A), self.p, _config_from(self))
-        cert = solve_hp(inst)
-        self.certificate_ = cert
-        self.x_hat_ = cert.x_hat
-        self.value_ = cert.value
-        self.ml_value_ = cert.ml_value
-        self.parity_ = cert.parity
-        return self
+        return self._expose(solve_hp(HpInstance(A, self.p, _config_from(self))))
 
 
 class PqNormEstimator(_TensorMaximizer):
     """Lower-bound estimator for the p -> q operator norm of a matrix.
 
     fit(B) solves the positive-semidefinite relaxation and rounds it; exposes
-    relax_value_ (upper proxy), value_ (feasible lower bound) and the
-    witnesses y_, z_.
+    the RoundedPair (value_ is the feasible lower bound, y_ and z_ its
+    witnesses), the relaxation's GramSolution as gram_ and its value as
+    relax_value_ (upper proxy).
     """
 
     def __init__(self, p=2.5, strategy=SolverConfig.strategy, trials=SolverConfig.trials,
@@ -129,7 +122,4 @@ class PqNormEstimator(_TensorMaximizer):
         gram, pair = pq_norm_lb(B, self.p, _config_from(self))
         self.gram_ = gram
         self.relax_value_ = gram.value
-        self.value_ = pair.value
-        self.y_ = pair.y
-        self.z_ = pair.z
-        return self
+        return self._expose(pair)

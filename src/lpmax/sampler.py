@@ -9,7 +9,6 @@ recursion level draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,9 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
+# constants of the randomized sampling analysis, read by sample_count
+DELTA0, C0, C1, C2 = 1.0 / 48.0, 1.0 / 72.0, 1.0 / 144.0, 1.0 / 40.0
+
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic child generator for the stream named by (seed, path).
@@ -37,19 +39,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """
     entropy = [int(seed) & MASK64] + [int(k) & MASK64 for k in path]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-@dataclass(frozen=True)
-class KNConstants:
-    """Constants from the randomized sampling analysis."""
-
-    delta0: float = 1.0 / 48.0
-    c0: float = 1.0 / 72.0
-    c1: float = 1.0 / 144.0
-    c2: float = 1.0 / 40.0
-
-
-KN = KNConstants()
 
 
 def sample_rademacher(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,8 +166,8 @@ def sample_count(n: int, p, max_samples: int | None = None) -> int:
     pf = check_p(p)
     factor = 2.0 * math.log(2.0)
     if pf == INF:
-        m = factor * n ** KN.delta0 / KN.c0
+        m = factor * n ** DELTA0 / C0
     else:
-        m = factor * n ** KN.c2 / KN.c1
+        m = factor * n ** C2 / C1
     count = math.ceil(m)
     return count if max_samples is None else min(count, int(max_samples))

@@ -11,7 +11,6 @@ which gives unit block norms without decreasing a positive form value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,31 +19,12 @@ from .tensor import DENSE_CAP, Tensor, as_tensor, eval_multilinear
 from .validation import as_matrix, as_vector, check_p, lp_norm
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Consecutive index blocks of lengths n_1, ..., n_d inside {1, ..., N}."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        if not dims or any(n < 1 for n in dims):
-            raise ShapeError(f"block lengths must be positive, got {self.dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def N(self) -> int:
-        return sum(self.dims)
-
-    @property
-    def offsets(self) -> tuple[tuple[int, int], ...]:
-        """(start, stop) pairs, 0-based half-open, one per block."""
-        stops = np.cumsum(self.dims)
-        starts = np.concatenate(([0], stops[:-1]))
-        return tuple((int(a), int(b)) for a, b in zip(starts, stops))
-
-    def slices(self) -> list[slice]:
-        return [slice(a, b) for a, b in self.offsets]
+def _slices(dims) -> list[slice]:
+    """The consecutive blocks of lengths dims inside range(sum(dims))."""
+    dims = [int(n) for n in dims]
+    if not dims or min(dims) < 1:
+        raise ShapeError(f"block lengths must be positive, got {tuple(dims)}")
+    return [slice(b - n, b) for n, b in zip(dims, itertools.accumulate(dims))]
 
 
 def stack(xs) -> np.ndarray:
@@ -52,11 +32,11 @@ def stack(xs) -> np.ndarray:
     return np.concatenate([as_vector(x, name="block") for x in xs])
 
 
-def split(z, partition: BlockPartition) -> list[np.ndarray]:
-    z = as_vector(z, name="stacked vector")
-    if z.shape[0] != partition.N:
-        raise ShapeError(f"stacked vector has length {z.shape[0]}, partition wants {partition.N}")
-    return [z[sl].copy() for sl in partition.slices()]
+def split(z, dims) -> list[np.ndarray]:
+    """The blocks of lengths dims of a stacked vector: stack's inverse."""
+    sls = _slices(dims)
+    z = as_vector(z, sls[-1].stop, name="stacked vector")
+    return [z[sl].copy() for sl in sls]
 
 
 def pi_transpose(A, pi) -> Tensor:
@@ -69,21 +49,20 @@ def pi_transpose(A, pi) -> Tensor:
     return Tensor(np.transpose(A.data, axes=[j - 1 for j in pi]))
 
 
-def symmetrize(A, *, dense_cap: int = DENSE_CAP) -> Tensor:
+def symmetrize(A) -> Tensor:
     """sym(A): permutation blocks are transposes of A, everything else zero."""
     A = as_tensor(A)
     d = A.order
     if d < 2:
         raise DomainError("symmetrize needs order >= 2")
-    part = BlockPartition(A.dims)
-    N = part.N
-    if N ** d > dense_cap:
+    sls = _slices(A.dims)
+    N = sls[-1].stop
+    if N ** d > DENSE_CAP:
         raise ResourceLimitError(f"sym(A) with {N}^{d} entries exceeds the dense cap")
     out = np.zeros((N,) * d)
-    sls = part.slices()
     for chi in itertools.permutations(range(d)):
         out[tuple(sls[c] for c in chi)] = np.transpose(A.data, axes=chi)
-    return Tensor(out, supersymmetric=True, dense_cap=dense_cap)
+    return Tensor(out, supersymmetric=True)
 
 
 def embed_matrix(B, d: int) -> Tensor:
@@ -123,8 +102,7 @@ def permutation_expansion(A, zs) -> float:
     """
     A = as_tensor(A)
     d = A.order
-    part = BlockPartition(A.dims)
-    blocks = [split(z, part) for z in zs]  # blocks[i][j] = block j of z^i
+    blocks = [split(z, A.dims) for z in zs]  # blocks[i][j] = block j of z^i
     total = 0.0
     for pi in itertools.permutations(range(d)):
         total += eval_multilinear(A, [blocks[pi[k]][k] for k in range(d)])

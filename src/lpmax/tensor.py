@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, ResourceLimitError, ShapeError
 from .validation import INF, TINY, as_vector
 
-DENSE_CAP = 10_000_000  # default dense_cap of Tensor, tensor_from_doc and symmetrize
+DENSE_CAP = 10_000_000  # most entries Tensor, tensor_from_doc and symmetrize allocate
 SYM_TOL = 1e-9  # asymmetry polynomial inputs may carry, relative to 1 + max|a|
 # A bound of matrix_bounds and a value computed under it sum the same products
 # in different orders, so they round apart by at most about (terms summed) *
@@ -40,13 +39,13 @@ class Tensor:
 
     __slots__ = ("data", "supersymmetric")
 
-    def __init__(self, data, *, supersymmetric: bool = False, dense_cap: int = DENSE_CAP):
+    def __init__(self, data, *, supersymmetric: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
         if arr.size == 0:
             raise ShapeError("every tensor dimension must be positive")
-        if arr.size > dense_cap:
+        if arr.size > DENSE_CAP:
             raise ResourceLimitError(
-                f"dense tensor with {arr.size} entries exceeds the cap of {dense_cap}"
+                f"dense tensor with {arr.size} entries exceeds the cap of {DENSE_CAP}"
             )
         if not np.all(np.isfinite(arr)):
             raise DomainError("tensor entries must be finite")
@@ -64,40 +63,12 @@ class Tensor:
     def order(self) -> int:
         return self.data.ndim
 
-    @property
-    def entries(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self.data.reshape(-1)
-
-    def item(self) -> float:
-        if self.order != 0 and self.data.size != 1:
-            raise ShapeError("item() is only defined for single-entry tensors")
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self):
         return f"Tensor(dims={self.dims}, supersymmetric={self.supersymmetric})"
 
 
-def as_tensor(A, *, dense_cap: int = DENSE_CAP) -> Tensor:
-    return A if isinstance(A, Tensor) else Tensor(A, dense_cap=dense_cap)
-
-
-@dataclass(frozen=True)
-class ContractionSpec:
-    """Assignment of vectors to (1-based) index positions to be summed out."""
-
-    assignments: Mapping[int, np.ndarray]
-
-    def __post_init__(self):
-        if not self.assignments:
-            raise ShapeError("contraction needs at least one assignment")
-        clean = {}
-        for pos, vec in self.assignments.items():
-            j = int(pos)
-            if j < 1:
-                raise ShapeError(f"index positions are 1-based, got {pos}")
-            clean[j] = as_vector(vec, name=f"assignment at position {j}")
-        object.__setattr__(self, "assignments", clean)
+def as_tensor(A) -> Tensor:
+    return A if isinstance(A, Tensor) else Tensor(A)
 
 
 def _raw(A) -> np.ndarray:
@@ -131,21 +102,19 @@ def contract_all(arr: np.ndarray, xs) -> float:
     return float(out)
 
 
-def contract(A, spec: ContractionSpec) -> Tensor:
-    """Sum out the indices named in ``spec``; order drops by ``len(spec.assignments)``."""
+def contract(A, assignments: Mapping) -> Tensor:
+    """Sum out the indices of ``assignments``, a mapping {1-based position:
+    vector}; the order drops by its length."""
     arr = _raw(A)
-    d = arr.ndim
-    for pos, vec in spec.assignments.items():
-        if pos > d:
-            raise ShapeError(f"position {pos} exceeds tensor order {d}")
-        if vec.shape[0] != arr.shape[pos - 1]:
-            raise ShapeError(
-                f"assignment at position {pos} has length {vec.shape[0]}, "
-                f"dimension is {arr.shape[pos - 1]}"
-            )
+    if not assignments:
+        raise ShapeError("contraction needs at least one assignment")
     out = arr
-    for pos in sorted(spec.assignments, reverse=True):
-        out = contract_first(np.moveaxis(out, pos - 1, 0), spec.assignments[pos])
+    for pos in sorted(assignments, key=int, reverse=True):
+        j = int(pos)
+        if not 1 <= j <= arr.ndim:
+            raise ShapeError(f"position {pos} is outside 1..{arr.ndim}")
+        x = as_vector(assignments[pos], arr.shape[j - 1], name=f"assignment at position {j}")
+        out = contract_first(np.moveaxis(out, j - 1, 0), x)
     return Tensor(out)
 
 
@@ -350,7 +319,7 @@ def tensor_to_doc(A) -> dict:
     return {"dims": [int(n) for n in A.dims], "coo": coo}
 
 
-def tensor_from_doc(doc: Mapping, *, dense_cap: int = DENSE_CAP) -> Tensor:
+def tensor_from_doc(doc: Mapping) -> Tensor:
     """Parse the shared format; accepts either a "coo" or a "dense" payload."""
     if "dims" not in doc:
         raise ShapeError('tensor document needs a "dims" field')
@@ -358,11 +327,11 @@ def tensor_from_doc(doc: Mapping, *, dense_cap: int = DENSE_CAP) -> Tensor:
     if any(n < 1 for n in dims):
         raise ShapeError(f"dims must be positive, got {dims}")
     size = int(np.prod(dims)) if dims else 1
-    if size > dense_cap:
-        raise ResourceLimitError(f"{size} entries exceeds the dense cap of {dense_cap}")
+    if size > DENSE_CAP:
+        raise ResourceLimitError(f"{size} entries exceeds the dense cap of {DENSE_CAP}")
     if "dense" in doc:
         arr = np.asarray(doc["dense"], dtype=np.float64).reshape(dims)
-        return Tensor(arr, dense_cap=dense_cap)
+        return Tensor(arr)
     if "coo" not in doc:
         raise ShapeError('tensor document needs a "coo" or "dense" field')
     arr = np.zeros(dims)
@@ -373,7 +342,7 @@ def tensor_from_doc(doc: Mapping, *, dense_cap: int = DENSE_CAP) -> Tensor:
         if any(i < 0 or i >= n for i, n in zip(idx, dims)):
             raise ShapeError(f"coo row {row} out of range for dims {dims}")
         arr[idx] += float(row[-1])  # duplicates accumulate
-    return Tensor(arr, dense_cap=dense_cap)
+    return Tensor(arr)
 
 
 def save_tensor(A, path) -> None:
@@ -382,7 +351,7 @@ def save_tensor(A, path) -> None:
         fh.write("\n")
 
 
-def load_tensor(path, *, dense_cap: int = DENSE_CAP) -> Tensor:
+def load_tensor(path) -> Tensor:
     with open(path) as fh:
         doc = json.load(fh)
-    return tensor_from_doc(doc, dense_cap=dense_cap)
+    return tensor_from_doc(doc)

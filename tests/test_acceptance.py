@@ -41,7 +41,7 @@ from lpmax import (
 )
 from lpmax.pqnorm import _trial_sign_values
 
-from conftest import perm_avg
+from supersym import perm_avg
 
 INF = float("inf")
 

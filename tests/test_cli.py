@@ -22,7 +22,7 @@ from lpmax.oracle import OracleResult
 from lpmax.pqnorm import RoundedPair
 from lpmax.tensor import load_tensor, save_tensor
 
-from conftest import random_supersym
+from supersym import random_supersym
 
 
 @pytest.fixture
@@ -273,15 +273,37 @@ def test_reports_print_every_field_of_their_results(files):
     def names(result, drop=()):
         return {f.name for f in dataclasses.fields(result)} - set(drop)
 
-    fast = {"trials": 16, "max_samples": 4, "steps": 5, "oracle": True}
-    reports = [(run("solve-ml", files["cube"], "inf", **fast), names(MlCertificate, ["seed"])),
-               (run("solve-hp", files["sym"], "inf", **fast), names(HpCertificate, ["seed"])),
+    fast = {"trials": 16, "steps": 5, "oracle": True}
+    reports = [(run("solve-ml", files["cube"], "inf", max_samples=4, **fast),
+                names(MlCertificate, ["seed"])),
+               (run("solve-hp", files["sym"], "inf", max_samples=4, **fast),
+                names(HpCertificate, ["seed"])),
                (run("pqnorm", files["mat"], "inf", **fast), names(RoundedPair) | {"relax_value"}),
                (run("oracle", files["mat"], "inf", mode="pqnorm"), names(OracleResult))]
     for rep, want in reports:
         assert set(rep.certificate) == want, rep.command
     for rep, _ in reports[:3]:
         assert set(rep.oracle) == names(OracleResult, ["argmax"]) | {"ratio"}
+
+
+def test_settings_a_command_lacks_exit_2(runner, files, tmp_path, monkeypatch, capsys):
+    # pqnorm draws no recursion candidates, so it has no --max-samples to ignore
+    res = runner.invoke(main, ["pqnorm", files["mat"], "--p", "3", "--max-samples", "1"])
+    assert res.exit_code == EXIT_PARSE
+    assert "--max-samples" in res.output
+    # run exits 2 too on a key outside the command's options, or on a typo
+    for key in ("max_samples", "trails"):
+        with pytest.raises(SystemExit) as exc:
+            run("pqnorm", files["mat"], "3", **{key: 1})
+        assert exc.value.code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: pqnorm has no option {key}\n"
+    # one config file serves every command, so pqnorm passes over its max_samples
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": "3", "trials": 8, "max_samples": 1}))
+    monkeypatch.setenv("LPMAX_CONFIG", str(cfg))
+    res = runner.invoke(main, ["pqnorm", files["mat"], "--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["config"]["trials"] == 8
 
 
 def test_text_format_is_stable(files):

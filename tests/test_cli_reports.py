@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from lpmax.cli import main
 from lpmax.tensor import save_tensor
 
-from conftest import random_supersym
+from supersym import random_supersym
 
 FAST = ("--trials", "16", "--max-samples", "4")
 
@@ -36,6 +36,7 @@ CASES = {
     "pq-json": (("pqnorm", "mat.json", "--p", "3", "--seed", "4", "--trials", "12",
                  "--format", "json"), None),
     "pq-oracle": (("pqnorm", "mat.json", "--p", "inf", "--oracle", "--format", "json"), None),
+    # pqnorm has no --max-samples, so click exits 2
     "pq-max-samples": (("pqnorm", "mat.json", "--p", "4", "--max-samples", "7",
                         "--strategy", "hyperplane", "--format", "json"), None),
     "oracle-ml": (("oracle", "cube.json", "--p", "inf", "--format", "json"), None),
@@ -106,7 +107,7 @@ PINNED = {
     "exit4-oracle-grid": "4373e8da219beb1c",
     "help-main": "43bf58ce3fe35c19",
     "help-ml": "15b5d1038ca101b6",
-    "help-pq": "461d5586f68aab2d",
+    "help-pq": "9904997b636519a0",
     "hp-even": "b670c0d6e8d9c2d4",
     "hp-json": "798940a46b73074e",
     "hp-oracle": "db177d63eee2b852",
@@ -121,7 +122,7 @@ PINNED = {
     "oracle-ml-grid": "4c897e00193ff394",
     "oracle-pqnorm": "6cef38fa63163fb4",
     "pq-json": "6016f65824c4819f",
-    "pq-max-samples": "5d756cc66c67cedc",
+    "pq-max-samples": "f918e2693bcda31b",
     "pq-oracle": "55648ec6ff284e74",
     "pq-text": "597dffaf83e4375f",
     "symmetrize": "69a140c8512af169",

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from lpmax.errors import DomainError
@@ -6,9 +8,12 @@ from lpmax.estimators import (
     MultilinearFormMaximizer,
     PqNormEstimator,
 )
+from lpmax.hpopt import HpCertificate
+from lpmax.mlopt import MlCertificate
+from lpmax.pqnorm import RoundedPair
 from lpmax.validation import INF, lp_norm
 
-from conftest import random_supersym
+from supersym import random_supersym
 
 
 def test_get_set_params_roundtrip():
@@ -36,7 +41,7 @@ def test_ml_estimator_fit(rng):
     for x in est.xs_:
         assert lp_norm(x, INF) <= 1.0 + 1e-9
     assert est.score() == est.value_
-    assert est.n_trials_used_ == 4
+    assert est.trials_used_ == 4
     assert est.certificate_.seed == 1
 
 
@@ -83,3 +88,20 @@ def test_default_p_matches_fit_domain(rng):
     B = rng.standard_normal((2, 2))
     est = PqNormEstimator(trials=8).fit(B)
     assert est.value_ >= 0.0
+
+
+def test_fitted_attributes_are_the_certificate_fields(rng):
+    fitted = [(MultilinearFormMaximizer(p=INF, seed=1, trials=8, max_samples=3)
+               .fit(rng.standard_normal((2, 2, 2))), MlCertificate, set()),
+              (HomogeneousPolynomialMaximizer(p=INF, seed=1, trials=8, max_samples=3)
+               .fit(random_supersym(rng, 2, 3)), HpCertificate, set()),
+              (PqNormEstimator(p=INF, seed=1, trials=8).fit(rng.standard_normal((3, 3))),
+               RoundedPair, {"gram_", "relax_value_"})]
+    for est, kind, extra in fitted:
+        cert = est.certificate_
+        assert isinstance(cert, kind)
+        want = {f.name + "_" for f in fields(kind)} | {"certificate_"} | extra
+        assert {key for key in vars(est) if key.endswith("_")} == want
+        for f in fields(kind):
+            assert getattr(est, f.name + "_") is getattr(cert, f.name)
+    assert est.relax_value_ == est.gram_.value

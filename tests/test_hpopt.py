@@ -13,7 +13,7 @@ from lpmax.tensor import (SYM_TOL, Tensor, contract_all, eval_multilinear, eval_
                           is_supersymmetric)
 from lpmax.validation import INF, lp_norm
 
-from conftest import random_supersym
+from supersym import random_supersym
 
 
 def small_cfg(seed=0, **kw):

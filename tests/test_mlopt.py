@@ -16,7 +16,7 @@ from lpmax.sampler import MASK64, STREAM_CANDIDATE, STREAM_TRIALS, derive_rng, s
 from lpmax.tensor import eval_multilinear, matrix_bounds, rounding_allowance, slot_bounds
 from lpmax.validation import INF, conjugate_exponent, lp_norm
 
-from conftest import random_supersym
+from supersym import random_supersym
 
 
 def small_cfg(seed=0, **kw):

@@ -28,7 +28,7 @@ from lpmax.symmetry import symmetrize
 from lpmax.tensor import as_tensor, eval_multilinear, eval_poly
 from lpmax.validation import INF, conjugate_exponent, lp_norm
 
-from conftest import perm_avg, random_supersym
+from supersym import perm_avg, random_supersym
 
 CHSH = np.array([[1.0, 1.0], [1.0, -1.0]])
 

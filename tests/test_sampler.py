@@ -7,7 +7,10 @@ import pytest
 
 from lpmax.errors import DomainError
 from lpmax.sampler import (
-    KN,
+    C0,
+    C1,
+    C2,
+    DELTA0,
     MASK64,
     derive_rng,
     draw_candidates,
@@ -112,9 +115,9 @@ def test_sample_count_frozen_values():
 
 def test_sample_count_matches_formula():
     for n in (1, 3, 16, 100):
-        want = math.ceil(2.0 * math.log(2.0) * n**KN.c2 / KN.c1)
+        want = math.ceil(2.0 * math.log(2.0) * n**C2 / C1)
         assert sample_count(n, 3.0, max_samples=None) == want
-        want = math.ceil(2.0 * math.log(2.0) * n**KN.delta0 / KN.c0)
+        want = math.ceil(2.0 * math.log(2.0) * n**DELTA0 / C0)
         assert sample_count(n, INF, max_samples=None) == want
 
 
@@ -147,8 +150,8 @@ def test_success_probability_floor_linf():
     w[0] = 1.0
     rng = derive_rng(123, 0x51)
     draws = rng.integers(0, 2, size=(10**5, n)).astype(np.float64) * 2.0 - 1.0
-    margin = math.sqrt(KN.delta0 * math.log(n) / n) * lp_norm(w, 1.0)
+    margin = math.sqrt(DELTA0 * math.log(n) / n) * lp_norm(w, 1.0)
     frac = float(np.mean(draws @ w >= margin))
-    floor = KN.c0 / n**KN.delta0
+    floor = C0 / n**DELTA0
     se = math.sqrt(frac * (1.0 - frac) / 10**5)
     assert frac + 3.0 * se >= floor

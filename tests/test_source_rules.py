@@ -55,9 +55,9 @@ def test_only_the_relaxation_raises_convergence_errors():
     assert raisers == ["mlopt.py", "pqnorm.py"]
 
 
-def _import_parts(module):
-    """Every dotted part of every name the module imports."""
-    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+def _import_parts(path):
+    """Every dotted part of every name the module at path imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     parts = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -70,7 +70,7 @@ def _import_parts(module):
 def test_oracle_imports_no_solver():
     # the oracles check the solvers' certificates, so they import no solver module;
     # what they share with the solvers (the Holder dual, the bounds) sits in tensor
-    parts = _import_parts("oracle.py")
+    parts = _import_parts(SRC / "oracle.py")
     assert "holder_rows" in parts  # the walk sees the imports
     assert parts.isdisjoint({"pqnorm", "mlopt", "hpopt", "sampler", "estimators", "cli"})
 
@@ -78,7 +78,7 @@ def test_oracle_imports_no_solver():
 def test_cli_reads_the_sample_budget_from_the_certificate():
     # whether max_samples capped the draws is solve_ml's decision, which its
     # certificate states; the report prints it and works nothing out again
-    parts = _import_parts("cli.py")
+    parts = _import_parts(SRC / "cli.py")
     assert "mlopt" in parts  # the walk sees the imports
     assert "sampler" not in parts
 
@@ -88,9 +88,9 @@ def test_shared_bound_sits_in_the_base_layer():
     # both may import, and the solver never reaches into the oracle; both take
     # the whole bound from its one kernel and never build it from matrix_bounds
     modules = {path.stem for path in SRC.glob("*.py")}
-    mlopt_parts, oracle_parts = _import_parts("mlopt.py"), _import_parts("oracle.py")
+    mlopt_parts, oracle_parts = _import_parts(SRC / "mlopt.py"), _import_parts(SRC / "oracle.py")
     assert "oracle" not in mlopt_parts
-    tensor_parts = _import_parts("tensor.py")
+    tensor_parts = _import_parts(SRC / "tensor.py")
     assert "slot_bounds" in mlopt_parts & oracle_parts
     assert "matrix_bounds" not in mlopt_parts | oracle_parts
     assert "validation" in tensor_parts  # the walk sees the imports
@@ -122,3 +122,13 @@ def test_one_module_builds_generators():
              and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
     assert calls  # the walk sees the calls
     assert [f"{name}:{node.lineno}" for name, node in calls if name != "sampler.py"] == []
+
+
+def test_tests_import_no_conftest():
+    # pytest imports tests/conftest.py and bench/tests/conftest.py under the one
+    # name "conftest", so a test importing from it gets whichever came first;
+    # the helpers the tests share live in tests/supersym.py
+    parts = {path.name: _import_parts(path)
+             for path in sorted(Path(__file__).resolve().parent.glob("*.py"))}
+    assert "supersym" in parts["test_tensor.py"]  # the walk sees the imports
+    assert [name for name, found in parts.items() if "conftest" in found] == []

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import lpmax.symmetry
 from lpmax.errors import DegenerateInputError, DomainError, ResourceLimitError, ShapeError
 from lpmax.symmetry import (
-    BlockPartition,
     embed_matrix,
     permutation_expansion,
     pi_transpose,
@@ -18,25 +18,17 @@ from lpmax.tensor import eval_multilinear, eval_poly
 from lpmax.validation import INF, lp_norm
 
 
-def test_block_partition():
-    part = BlockPartition((2, 3, 1))
-    assert part.N == 6
-    assert part.offsets == ((0, 2), (2, 5), (5, 6))
-    with pytest.raises(ShapeError):
-        BlockPartition((2, 0))
-    with pytest.raises(ShapeError):
-        BlockPartition(())
-
-
 def test_stack_split_roundtrip(rng):
     xs = [rng.standard_normal(n) for n in (2, 3, 1)]
     z = stack(xs)
     assert z.shape == (6,)
-    back = split(z, BlockPartition((2, 3, 1)))
+    back = split(z, (2, 3, 1))
+    assert [b.shape for b in back] == [(2,), (3,), (1,)]
     for a, b in zip(xs, back):
         assert np.array_equal(a, b)
-    with pytest.raises(ShapeError):
-        split(z, BlockPartition((2, 2)))
+    for dims in ((2, 2), (6, 0), ()):
+        with pytest.raises(ShapeError):
+            split(z, dims)
 
 
 def test_pi_transpose(rng):
@@ -73,11 +65,13 @@ def test_symmetrize_identity(rng):
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
 
 
-def test_symmetrize_guards(rng):
+def test_symmetrize_guards(rng, monkeypatch):
     with pytest.raises(DomainError):
         symmetrize(np.ones(3))
-    with pytest.raises(ResourceLimitError):
-        symmetrize(rng.standard_normal((4, 4, 4)), dense_cap=100)
+    monkeypatch.setattr(lpmax.symmetry, "DENSE_CAP", 100)  # read at call time
+    # symmetrize's own check, before the 12^3 output is allocated
+    with pytest.raises(ResourceLimitError, match="sym"):
+        symmetrize(rng.standard_normal((4, 4, 4)))
 
 
 def test_permutation_expansion_matches_sym_form(rng):

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import lpmax.tensor
 from lpmax.errors import DomainError, ResourceLimitError, ShapeError
 from lpmax.tensor import (
-    ContractionSpec,
     Tensor,
     as_tensor,
     contract,
@@ -24,24 +24,25 @@ from lpmax.tensor import (
 
 from lpmax.validation import INF, lp_norm
 
-from conftest import perm_avg, random_supersym
+from supersym import perm_avg, random_supersym
 
 
 def test_tensor_basics(rng):
     A = Tensor(rng.standard_normal((2, 3, 4)))
     assert A.dims == (2, 3, 4)
     assert A.order == 3
-    assert A.entries.shape == (24,)
+    assert A.data.shape == (2, 3, 4)
     assert "dims=(2, 3, 4)" in repr(A)
     with pytest.raises(ValueError):
         A.data[0, 0, 0] = 1.0  # immutable storage
 
 
-def test_tensor_rejects_bad_input():
+def test_tensor_rejects_bad_input(monkeypatch):
     with pytest.raises(DomainError):
         Tensor([[np.inf, 0.0], [0.0, 0.0]])
+    monkeypatch.setattr(lpmax.tensor, "DENSE_CAP", 50)  # read at call time
     with pytest.raises(ResourceLimitError):
-        Tensor(np.zeros((10, 10)), dense_cap=50)
+        Tensor(np.zeros((10, 10)))
     with pytest.raises(ShapeError):
         Tensor(np.zeros((0, 3)))
     with pytest.raises(DomainError):
@@ -68,14 +69,14 @@ def test_eval_multilinear_matches_einsum(rng):
 def test_contract_partial(rng):
     A = rng.standard_normal((3, 2, 4))
     x = rng.standard_normal(2)
-    out = contract(A, ContractionSpec({2: x}))
+    out = contract(A, {2: x})
     assert out.dims == (3, 4)
     assert np.allclose(out.data, np.einsum("ijk,j->ik", A, x))
     # contracting everything leaves an order-0 tensor
     xs = [rng.standard_normal(n) for n in (3, 2, 4)]
-    full = contract(A, ContractionSpec({1: xs[0], 2: xs[1], 3: xs[2]}))
+    full = contract(A, {1: xs[0], 2: xs[1], 3: xs[2]})
     assert full.order == 0
-    assert np.isclose(full.item(), eval_multilinear(A, xs))
+    assert np.isclose(float(full.data), eval_multilinear(A, xs))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160])
@@ -96,20 +97,22 @@ def test_contract_first_equals_tensordot(scale):
                     want = np.tensordot(view, x, axes=(j, 0))
                     assert got.shape == want.shape == dims[:j] + dims[j + 1:]
                     assert got.tobytes() == want.tobytes(), (dims, j, view.strides)
-                    spec = ContractionSpec({j + 1: x})
-                    assert contract(view, spec).data.tobytes() == want.tobytes()
+                    got = contract(view, {j + 1: x}).data  # a plain dict
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_contract_guards(rng):
     A = rng.standard_normal((3, 2))
     with pytest.raises(ShapeError):
-        ContractionSpec({})
+        contract(A, {})
     with pytest.raises(ShapeError):
-        ContractionSpec({0: np.ones(3)})
+        contract(A, {0: np.ones(3)})
     with pytest.raises(ShapeError):
-        contract(A, ContractionSpec({3: np.ones(2)}))
+        contract(A, {3: np.ones(2)})
     with pytest.raises(ShapeError):
-        contract(A, ContractionSpec({1: np.ones(2)}))
+        contract(A, {1: np.ones(2)})
+    with pytest.raises(DomainError):
+        contract(A, {1: [1.0, np.nan, 0.0]})
 
 
 def test_eval_poly_requires_supersymmetry(rng):
@@ -254,9 +257,11 @@ def test_doc_rejects_malformed(doc):
         tensor_from_doc(doc)
 
 
-def test_doc_dense_cap():
-    with pytest.raises(ResourceLimitError):
-        tensor_from_doc({"dims": [100, 100], "coo": []}, dense_cap=50)
+def test_doc_dense_cap(monkeypatch):
+    monkeypatch.setattr(lpmax.tensor, "DENSE_CAP", 50)
+    # the document's own check, before the dense array is allocated
+    with pytest.raises(ResourceLimitError, match="entries exceeds the dense cap"):
+        tensor_from_doc({"dims": [100, 100], "coo": []})
 
 
 def test_save_load(tmp_path, rng):

@@ -5,14 +5,12 @@ oracles, a CLI, and estimator-style wrappers."""
 from .config import SolverConfig
 from .errors import (BoundViolationError, ConvergenceError, DegenerateInputError,
                      DomainError, LpmaxError, ResourceLimitError, ShapeError)
-from .estimators import (HomogeneousPolynomialMaximizer,
-                         MultilinearFormMaximizer, PqNormEstimator)
+from .estimators import HomogeneousPolynomialMaximizer, MultilinearFormMaximizer
 from .hpopt import HpCertificate, HpInstance, polarize_even, polarize_odd, solve_hp
 from .mlopt import MlCertificate, MlInstance, solve_ml, solve_ml_d2
 from .oracle import (OracleMethod, OracleResult, exact_ml_linf, fn_check,
                      grid_hp, grid_ml, oracle_ml, sym_equivalence_check)
-from .pqnorm import (GramSolution, RoundedPair, pq_norm_lb, round_gram, solve_vecp,
-                     solve_vecp_stack)
+from .pqnorm import GramSolution, RoundedPair, round_gram, solve_vecp, solve_vecp_stack
 from .sampler import derive_rng, sample_count, sample_pgauss, sample_rademacher
 from .symmetry import (embed_matrix, permutation_expansion, pi_transpose,
                        rebalance_blocks, split, stack, symmetrize)
@@ -34,12 +32,11 @@ __all__ = [
     "embed_matrix", "rebalance_blocks", "permutation_expansion",
     "derive_rng", "sample_rademacher", "sample_pgauss", "sample_count",
     "GramSolution", "RoundedPair", "solve_vecp", "solve_vecp_stack", "round_gram",
-    "pq_norm_lb",
     "MlInstance", "MlCertificate", "solve_ml", "solve_ml_d2",
     "HpInstance", "HpCertificate", "solve_hp", "polarize_odd", "polarize_even",
     "OracleMethod", "OracleResult", "exact_ml_linf", "grid_ml", "grid_hp", "oracle_ml",
     "fn_check", "sym_equivalence_check",
-    "MultilinearFormMaximizer", "HomogeneousPolynomialMaximizer", "PqNormEstimator",
+    "MultilinearFormMaximizer", "HomogeneousPolynomialMaximizer",
     "conjugate_exponent", "lp_norm", "parse_exponent",
     "__version__",
 ]

@@ -33,7 +33,7 @@ from .errors import (BoundViolationError, ConvergenceError, DomainError, LpmaxEr
 from .hpopt import HpInstance, solve_hp
 from .mlopt import MlInstance, solve_ml
 from .oracle import grid_hp, oracle_ml
-from .pqnorm import pq_norm_lb, solve_vecp  # noqa: F401  (bench/tests reads cli.solve_vecp)
+from .pqnorm import RoundedPair, solve_vecp  # noqa: F401  (bench/tests reads cli.solve_vecp)
 from .symmetry import symmetrize
 from .tensor import load_tensor, save_tensor
 from .validation import INF, check_p, parse_exponent
@@ -143,6 +143,10 @@ def _config_defaults():
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
+    # a setting of another command passes, as one file serves every command
+    unknown = sorted(set(doc) - set(_SETTINGS))
+    if unknown:
+        raise ValueError(f"config file has no setting {', '.join(unknown)}")
     return doc
 
 
@@ -208,8 +212,9 @@ def _solve_hp(A, p, vals):
 def _pqnorm(A, p, vals):
     if A.order != 2:
         raise ShapeError(f"pqnorm needs an order-2 tensor, got order {A.order}")
-    g, pair = pq_norm_lb(A.data, p, _solver_config(vals))
-    return pair.value, {**_block(pair), "relax_value": g.value}
+    cert = solve_ml(MlInstance(A, p, _solver_config(vals)))
+    return cert.value, {**_block(RoundedPair(*cert.xs, cert.value)),
+                        "relax_value": cert.relax_value}
 
 
 # the independent oracle of each mode; a bilinear problem is the order-2

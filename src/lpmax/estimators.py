@@ -15,11 +15,22 @@ from dataclasses import fields
 from .config import SolverConfig
 from .mlopt import MlInstance, solve_ml
 from .hpopt import HpInstance, solve_hp
-from .pqnorm import pq_norm_lb
 
 
-class ParamEstimator:
-    """get_params/set_params/repr driven by the subclass __init__ signature."""
+class _TensorMaximizer:
+    """The estimators' parameters, whose defaults are SolverConfig's, and the
+    get_params/set_params/repr/score they share; parameter names are read off
+    the __init__ signature, so they are written once."""
+
+    def __init__(self, p=2.5, seed=SolverConfig.seed, trials=SolverConfig.trials,
+                 tol=SolverConfig.tol, max_samples=SolverConfig.max_samples,
+                 strategy=SolverConfig.strategy):
+        self.p = p
+        self.seed = seed
+        self.trials = trials
+        self.tol = tol
+        self.max_samples = max_samples
+        self.strategy = strategy
 
     @classmethod
     def _param_names(cls):
@@ -45,37 +56,20 @@ class ParamEstimator:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
+    def _config(self) -> SolverConfig:
+        params = self.get_params()
+        del params["p"]  # the instance's exponent; every other parameter is a setting
+        return SolverConfig(**params)
+
     def _expose(self, result):
         self.certificate_ = result
         for f in fields(result):
             setattr(self, f.name + "_", getattr(result, f.name))
         return self
 
-    def _check_fitted(self):
+    def score(self, A=None, y=None):
         if not any(k.endswith("_") and not k.endswith("__") for k in vars(self)):
             raise RuntimeError(f"{type(self).__name__} instance is not fitted yet")
-
-
-def _config_from(est) -> SolverConfig:
-    return SolverConfig(**{k: getattr(est, k) for k in SolverConfig.__dataclass_fields__
-                           if hasattr(est, k)})
-
-
-class _TensorMaximizer(ParamEstimator):
-    """Shared parameters and score of the estimators; defaults are SolverConfig's."""
-
-    def __init__(self, p=2.5, seed=SolverConfig.seed, trials=SolverConfig.trials,
-                 tol=SolverConfig.tol, max_samples=SolverConfig.max_samples,
-                 strategy=SolverConfig.strategy):
-        self.p = p
-        self.seed = seed
-        self.trials = trials
-        self.tol = tol
-        self.max_samples = max_samples
-        self.strategy = strategy
-
-    def score(self, A=None, y=None):
-        self._check_fitted()
         return self.value_
 
 
@@ -83,10 +77,13 @@ class MultilinearFormMaximizer(_TensorMaximizer):
     """Randomized lower-bound maximizer for multilinear forms over L_p balls.
 
     fit(A) runs the recursive sampling pipeline and exposes its MlCertificate.
+    On a matrix B this is the bilinear problem, the p -> q norm of B: y, z =
+    xs_ are the rounded pair, value_ its feasible lower bound and
+    relax_value_ the relaxation value.
     """
 
     def fit(self, A, y=None):
-        return self._expose(solve_ml(MlInstance(A, self.p, _config_from(self))))
+        return self._expose(solve_ml(MlInstance(A, self.p, self._config())))
 
 
 class HomogeneousPolynomialMaximizer(_TensorMaximizer):
@@ -97,29 +94,4 @@ class HomogeneousPolynomialMaximizer(_TensorMaximizer):
     """
 
     def fit(self, A, y=None):
-        return self._expose(solve_hp(HpInstance(A, self.p, _config_from(self))))
-
-
-class PqNormEstimator(_TensorMaximizer):
-    """Lower-bound estimator for the p -> q operator norm of a matrix.
-
-    fit(B) solves the positive-semidefinite relaxation and rounds it; exposes
-    the RoundedPair (value_ is the feasible lower bound, y_ and z_ its
-    witnesses), the relaxation's GramSolution as gram_ and its value as
-    relax_value_ (upper proxy).
-    """
-
-    def __init__(self, p=2.5, strategy=SolverConfig.strategy, trials=SolverConfig.trials,
-                 seed=SolverConfig.seed, tol=SolverConfig.tol, max_iter=SolverConfig.max_iter):
-        self.p = p
-        self.strategy = strategy
-        self.trials = trials
-        self.seed = seed
-        self.tol = tol
-        self.max_iter = max_iter
-
-    def fit(self, B, y=None):
-        gram, pair = pq_norm_lb(B, self.p, _config_from(self))
-        self.gram_ = gram
-        self.relax_value_ = gram.value
-        return self._expose(pair)
+        return self._expose(solve_hp(HpInstance(A, self.p, self._config())))

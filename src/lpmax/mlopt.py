@@ -116,7 +116,8 @@ def _solve_next(subs, p: float, cfg: SolverConfig, memo: dict) -> None:
 
 
 def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
-    # not pqnorm.pq_norm_lb: the relaxation usually comes from the level's stacked solve
+    # the one bilinear pipeline; in a recursion the relaxation usually comes from
+    # the level's stacked solve
     key = _key(arr)
     if key in memo:
         g, converged = memo[key]

@@ -9,10 +9,11 @@ Grothendieck constant of the true norm:
     ||B||_{p->q}  <=  relax_p(B)  <=  K_G * ||B||_{p->q},
     K_G < pi / (2 ln(1 + sqrt(2))) < 1.783.
 
-solve_vecp maximizes the relaxation, round_gram turns its Gram factorization
-into a feasible sign pair (hyperplane rounding, or Krivine rounding whose
-single-trial expectation is (2 ln(1+sqrt 2)/pi) * relaxation value), and
-pq_norm_lb chains the two.
+solve_vecp maximizes the relaxation, and round_gram turns its Gram
+factorization into a feasible sign pair (hyperplane rounding, or Krivine
+rounding whose single-trial expectation is (2 ln(1+sqrt 2)/pi) * relaxation
+value).  The two are chained in one place, the d = 2 base case of
+lpmax.mlopt, and the pqnorm command runs solve_ml on the order-2 instance.
 
 solve_vecp works on the Gram factors of X: unit directions u_i, v_j in
 R^(m+n), enough dimensions to factor every feasible X, and lengths l, l' in
@@ -41,7 +42,7 @@ import numpy as np
 
 from .config import SolverConfig
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
-from .sampler import STREAM_TRIALS, derive_rng
+from .sampler import derive_rng
 from .tensor import holder_rows
 from .validation import INF, TINY, as_float_array, as_matrix, check_p
 
@@ -346,15 +347,3 @@ def round_gram(B, g: GramSolution, strategy: str, trials: int, rng) -> RoundedPa
         y = -y
     return RoundedPair(y=y, z=z, value=float(y @ B @ z))
 
-
-def pq_norm_lb(B, p, cfg: SolverConfig | None = None) -> tuple[GramSolution, RoundedPair]:
-    """solve_vecp then round_gram: a feasible lower bound on ||B||_{p->q}.
-
-    Returns the relaxation's Gram solution and the rounded pair.  With high
-    probability over trials the pair's value lands in
-    [relaxation/K_G - tol, ||B||_{p->q}].  Trials draw from
-    ``derive_rng(cfg.seed, STREAM_TRIALS)``.
-    """
-    cfg = cfg or SolverConfig()
-    g = solve_vecp(B, p, cfg.tol, cfg.max_iter)
-    return g, round_gram(B, g, cfg.strategy, cfg.trials, derive_rng(cfg.seed, STREAM_TRIALS))

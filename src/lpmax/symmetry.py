@@ -15,7 +15,8 @@ import itertools
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ResourceLimitError, ShapeError
-from .tensor import DENSE_CAP, Tensor, as_tensor, eval_multilinear
+from . import tensor
+from .tensor import Tensor, as_tensor, eval_multilinear
 from .validation import as_matrix, as_vector, check_p, lp_norm
 
 
@@ -57,7 +58,7 @@ def symmetrize(A) -> Tensor:
         raise DomainError("symmetrize needs order >= 2")
     sls = _slices(A.dims)
     N = sls[-1].stop
-    if N ** d > DENSE_CAP:
+    if N ** d > tensor.DENSE_CAP:  # read at call time, so one cap holds
         raise ResourceLimitError(f"sym(A) with {N}^{d} entries exceeds the dense cap")
     out = np.zeros((N,) * d)
     for chi in itertools.permutations(range(d)):

@@ -306,6 +306,28 @@ def test_settings_a_command_lacks_exit_2(runner, files, tmp_path, monkeypatch, c
     assert json.loads(res.output)["config"]["trials"] == 8
 
 
+def test_config_file_typo_exits_2(runner, files, tmp_path, monkeypatch):
+    # a config key that is no setting of any command is a typo, caught before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran on a config file with a typo")
+
+    cfg = tmp_path / "cfg.json"
+    monkeypatch.setenv("LPMAX_CONFIG", str(cfg))
+    cfg.write_text(json.dumps({"p": "3", "trails": 1}))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "solve_ml", no_solve)
+        patch.setattr(cli, "load_tensor", no_solve)
+        for command in ("solve-ml", "solve-hp", "pqnorm", "oracle"):
+            res = runner.invoke(main, [command, files["mat"]])
+            assert res.exit_code == EXIT_PARSE, (command, res.output)
+            assert res.output == "error: config file has no setting trails\n"
+    # a setting of another command still passes: mode is the oracle's alone
+    cfg.write_text(json.dumps({"p": "3", "trials": 8, "mode": "hp"}))
+    res = runner.invoke(main, ["pqnorm", files["mat"], "--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["config"]["trials"] == 8
+
+
 def test_text_format_is_stable(files):
     rep = run("solve-ml", files["cube"], "inf", trials=16, max_samples=4)
     text = rep.to_text()

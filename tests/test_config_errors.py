@@ -6,7 +6,7 @@ import pytest
 
 from lpmax.cli import run
 from lpmax.config import SolverConfig
-from lpmax.estimators import MultilinearFormMaximizer, PqNormEstimator
+from lpmax.estimators import HomogeneousPolynomialMaximizer, MultilinearFormMaximizer
 from lpmax.errors import (
     BoundViolationError,
     ConvergenceError,
@@ -36,7 +36,8 @@ def test_every_default_is_the_configs(tmp_path):
     report = run("solve-ml", tmp_path / "cube.json", "inf")
     signatures = [inspect.signature(f).parameters for f in (solve_vecp, solve_vecp_stack)]
     for params in ({"seed": report.seed, **report.config},
-                   MultilinearFormMaximizer().get_params(), PqNormEstimator().get_params(),
+                   MultilinearFormMaximizer().get_params(),
+                   HomogeneousPolynomialMaximizer().get_params(),
                    *({k: prm.default for k, prm in sig.items()} for sig in signatures)):
         shared = params.keys() & want.keys()
         assert len(shared) >= 2

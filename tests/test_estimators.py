@@ -6,11 +6,10 @@ from lpmax.errors import DomainError
 from lpmax.estimators import (
     HomogeneousPolynomialMaximizer,
     MultilinearFormMaximizer,
-    PqNormEstimator,
 )
 from lpmax.hpopt import HpCertificate
 from lpmax.mlopt import MlCertificate
-from lpmax.pqnorm import RoundedPair
+from lpmax.pqnorm import solve_vecp
 from lpmax.validation import INF, lp_norm
 
 from supersym import random_supersym
@@ -27,8 +26,8 @@ def test_get_set_params_roundtrip():
 
 
 def test_repr_lists_params():
-    text = repr(PqNormEstimator(p=4.0))
-    assert text.startswith("PqNormEstimator(")
+    text = repr(MultilinearFormMaximizer(p=4.0))
+    assert text.startswith("MultilinearFormMaximizer(")
     assert "p=4.0" in text
 
 
@@ -69,10 +68,12 @@ def test_hp_estimator_fit(rng):
 
 def test_pqnorm_estimator_fit(rng):
     B = rng.standard_normal((4, 4))
-    est = PqNormEstimator(p=INF, seed=0, trials=60).fit(B)
+    # the p -> q norm of a matrix is the order-2 multilinear problem
+    est = MultilinearFormMaximizer(p=INF, seed=0, trials=60).fit(B)
+    y, z = est.xs_
     assert est.value_ <= est.relax_value_ + 1e-9
     assert est.value_ >= est.relax_value_ / 1.783 - 1e-6
-    assert est.y_ @ B @ est.z_ == pytest.approx(est.value_, rel=1e-12)
+    assert y @ B @ z == pytest.approx(est.value_, rel=1e-12)
     assert est.score() == est.value_
 
 
@@ -80,28 +81,28 @@ def test_unfitted_score_raises():
     with pytest.raises(RuntimeError):
         MultilinearFormMaximizer().score()
     with pytest.raises(RuntimeError):
-        PqNormEstimator().score()
+        HomogeneousPolynomialMaximizer().score()
 
 
 def test_default_p_matches_fit_domain(rng):
     # default p = 2.5 sits inside the supported open interval
     B = rng.standard_normal((2, 2))
-    est = PqNormEstimator(trials=8).fit(B)
+    est = MultilinearFormMaximizer(trials=8).fit(B)
     assert est.value_ >= 0.0
 
 
 def test_fitted_attributes_are_the_certificate_fields(rng):
+    B = rng.standard_normal((3, 3))
     fitted = [(MultilinearFormMaximizer(p=INF, seed=1, trials=8, max_samples=3)
-               .fit(rng.standard_normal((2, 2, 2))), MlCertificate, set()),
+               .fit(rng.standard_normal((2, 2, 2))), MlCertificate),
               (HomogeneousPolynomialMaximizer(p=INF, seed=1, trials=8, max_samples=3)
-               .fit(random_supersym(rng, 2, 3)), HpCertificate, set()),
-              (PqNormEstimator(p=INF, seed=1, trials=8).fit(rng.standard_normal((3, 3))),
-               RoundedPair, {"gram_", "relax_value_"})]
-    for est, kind, extra in fitted:
+               .fit(random_supersym(rng, 2, 3)), HpCertificate),
+              (MultilinearFormMaximizer(p=INF, seed=1, trials=8).fit(B), MlCertificate)]
+    for est, kind in fitted:
         cert = est.certificate_
         assert isinstance(cert, kind)
-        want = {f.name + "_" for f in fields(kind)} | {"certificate_"} | extra
+        want = {f.name + "_" for f in fields(kind)} | {"certificate_"}
         assert {key for key in vars(est) if key.endswith("_")} == want
         for f in fields(kind):
             assert getattr(est, f.name + "_") is getattr(cert, f.name)
-    assert est.relax_value_ == est.gram_.value
+    assert est.relax_value_ == solve_vecp(B, INF).value

@@ -11,9 +11,11 @@ from lpmax.errors import ConvergenceError, DegenerateInputError, DomainError, Sh
 from lpmax.hpopt import HpInstance, solve_hp
 from lpmax.mlopt import MlCertificate, MlInstance, solve_ml, solve_ml_d2
 from lpmax.oracle import exact_ml_linf
-from lpmax.pqnorm import KG_BOUND, GramSolution, pq_norm_lb, round_gram, solve_vecp_stack
+from lpmax.cli import run
+from lpmax.pqnorm import KG_BOUND, GramSolution, round_gram, solve_vecp_stack
 from lpmax.sampler import MASK64, STREAM_CANDIDATE, STREAM_TRIALS, derive_rng, sample_count
-from lpmax.tensor import eval_multilinear, matrix_bounds, rounding_allowance, slot_bounds
+from lpmax.tensor import (eval_multilinear, matrix_bounds, rounding_allowance, save_tensor,
+                          slot_bounds)
 from lpmax.validation import INF, conjugate_exponent, lp_norm
 
 from supersym import random_supersym
@@ -36,14 +38,22 @@ def test_instance_validation(rng):
     assert inst.p == 3.5
 
 
-def test_d2_matches_pqnorm_pipeline(rng):
-    B = rng.standard_normal((3, 4))
-    cfg = SolverConfig(seed=5, trials=40)
-    cert = solve_ml(MlInstance(B, INF, cfg))
-    _, pair = pq_norm_lb(B, INF, cfg)
-    assert cert.value == pytest.approx(pair.value, abs=1e-12)
-    assert np.allclose(cert.xs[0], pair.y) and np.allclose(cert.xs[1], pair.z)
-    assert cert.trials_used == cfg.trials
+def test_d2_matches_pqnorm_pipeline(rng, tmp_path):
+    # the pqnorm command reports solve_ml's order-2 certificate bit for bit
+    cases = itertools.product(["3", "7/2", "4", "inf"], ["krivine", "hyperplane"],
+                              [(-5, 1.0), (3, 1e-170), (11, 1e160)])
+    for p, strategy, (seed, scale) in cases:
+        B = rng.standard_normal((3, 4)) * scale
+        B[1] = 0.0
+        save_tensor(B, tmp_path / "mat.json")
+        cfg = SolverConfig(seed=seed, trials=40, strategy=strategy)
+        cert = solve_ml(MlInstance(B, p, cfg))
+        rep = run("pqnorm", tmp_path / "mat.json", p, seed=seed, trials=40, strategy=strategy)
+        got = rep.certificate
+        assert np.array(got["y"]).tobytes() == cert.xs[0].tobytes()
+        assert np.array(got["z"]).tobytes() == cert.xs[1].tobytes()
+        assert (got["value"], got["relax_value"]) == (cert.value, cert.relax_value)
+        assert cert.trials_used == cfg.trials
 
 
 def test_solve_ml_d2_guard(rng):

@@ -5,10 +5,10 @@ import pytest
 
 from lpmax import pqnorm
 from lpmax.errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
+from lpmax.mlopt import MlInstance, solve_ml
 from lpmax.pqnorm import (
     KG_BOUND,
     KRIVINE_C,
-    pq_norm_lb,
     round_gram,
     solve_vecp,
     solve_vecp_stack,
@@ -255,9 +255,12 @@ def test_round_gram_rejects_unknown_strategy(rng):
         round_gram(B, g, "krivine", 0, derive_rng(0, 0x51))
 
 
+# the p -> q norm lower bound is solve_ml on the order-2 instance: solve_vecp,
+# then round_gram
+
 def test_pq_norm_lb_identity():
-    _, pair = pq_norm_lb(np.eye(2), INF)
-    assert abs(pair.value - 2.0) <= 1e-6
+    cert = solve_ml(MlInstance(np.eye(2), INF))
+    assert abs(cert.value - 2.0) <= 1e-6
 
 
 def test_pq_norm_lb_within_grothendieck(rng):
@@ -265,10 +268,10 @@ def test_pq_norm_lb_within_grothendieck(rng):
         B = np.random.default_rng(100 + k).standard_normal((4, 4))
         p = [3.0, 4.0, INF][k % 3]
         g = solve_vecp(B, p)
-        g_lb, pair = pq_norm_lb(B, p)
-        assert g_lb.value == g.value
-        assert pair.value <= g.value + 1e-9
-        assert pair.value >= g.value / KG_BOUND - 1e-6
+        cert = solve_ml(MlInstance(B, p))
+        assert cert.relax_value == g.value
+        assert cert.value <= g.value + 1e-9
+        assert cert.value >= g.value / KG_BOUND - 1e-6
 
 
 def test_krivine_constant_values():

@@ -2,6 +2,8 @@
 import ast
 from pathlib import Path
 
+import lpmax
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "lpmax"
 
 
@@ -132,3 +134,23 @@ def test_tests_import_no_conftest():
              for path in sorted(Path(__file__).resolve().parent.glob("*.py"))}
     assert "supersym" in parts["test_tensor.py"]  # the walk sees the imports
     assert [name for name, found in parts.items() if "conftest" in found] == []
+
+
+def test_one_bilinear_pipeline():
+    # the d = 2 problem is relaxed and rounded in one place, mlopt's base case;
+    # the pqnorm command and the estimators run solve_ml on the order-2 instance
+    callers = [path.name
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None)) == "round_gram"]
+    assert "mlopt.py" in callers  # the walk sees the call
+    assert set(callers) == {"mlopt.py"}
+
+
+def test_every_export_resolves():
+    # a deleted name must leave __all__ with it, or `from lpmax import *` fails
+    assert [name for name in lpmax.__all__ if not hasattr(lpmax, name)] == []
+    namespace = {}
+    exec("from lpmax import *", namespace)
+    assert set(lpmax.__all__) <= namespace.keys()

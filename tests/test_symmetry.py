@@ -68,10 +68,12 @@ def test_symmetrize_identity(rng):
 def test_symmetrize_guards(rng, monkeypatch):
     with pytest.raises(DomainError):
         symmetrize(np.ones(3))
-    monkeypatch.setattr(lpmax.symmetry, "DENSE_CAP", 100)  # read at call time
+    # one cap: symmetrize reads tensor.DENSE_CAP at call time, binding none of its own
+    monkeypatch.setattr(lpmax.tensor, "DENSE_CAP", 100)
     # symmetrize's own check, before the 12^3 output is allocated
     with pytest.raises(ResourceLimitError, match="sym"):
         symmetrize(rng.standard_normal((4, 4, 4)))
+    assert not hasattr(lpmax.symmetry, "DENSE_CAP")
 
 
 def test_permutation_expansion_matches_sym_form(rng):

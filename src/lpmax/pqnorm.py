@@ -20,11 +20,13 @@ R^(m+n), enough dimensions to factor every feasible X, and lengths l, l' in
 the unit L_p ball.  Block coordinate ascent on them (the "mixing method" of
 Wang, Chang & Kolter, arXiv:1706.00476, with tensor.holder_rows as length
 update) sets one side to its closed-form best given the other; every iterate
-is feasible.  Near an optimum of low rank the ascent can converge linearly at
-a rate close to 1, so on small matrices (m + n <= 12), from its twentieth
-step on, every tenth step of a start still ascending also tries one step from
-its column directions extrapolated toward their limit, and the start keeps it
-where it ends higher.
+is feasible.  A step costs two products with B and no Gram product: its
+value is read off the column half step's own product.  Near an optimum of
+low rank the ascent can converge linearly at a rate close to 1, so on small
+matrices (m + n <= 12), from its twentieth step on, every tenth step of a
+start still ascending also tries one step from its column directions
+extrapolated toward their limit, and the start keeps it where it ends
+higher.
 The solver has one implementation, which works on a (k, m, n) stack of
 same-shape matrices: solve_vecp_stack.  Each start of each matrix keeps its
 own stopping rule and leaves the active set when it stops, and every
@@ -56,8 +58,10 @@ _SQRT_TINY = math.sqrt(TINY)  # a smaller norm has subnormal squares
 # from step 2 * _EXTRAP_EVERY on, every _EXTRAP_EVERY-th step of a start still
 # ascending also tries an extrapolated step (see _extrapolated_step), on
 # matrices with m + n <= _EXTRAP_MAX_N: the contractions the recursion solves
-# by the dozen, whose slowest start sets the cost of the whole stack (larger
-# matrices do not try them yet; see ROADMAP item 4)
+# by the dozen, whose slowest start sets the cost of the whole stack.  Larger
+# matrices do not try them yet: the steps they save let a benchmark run
+# complete more operations, and as its harness keeps a few KB per operation,
+# its peak RSS would rise past its bound (ROADMAP items 1 and 4)
 _EXTRAP_EVERY = 10
 _EXTRAP_MAX_N = 12
 
@@ -117,17 +121,28 @@ def _gram_value(B, Ud, Vd, ul, vl) -> np.ndarray:
     return np.sum(B * M, axis=(1, 2))
 
 
+def _unit_rows(W, old):
+    """The rows of W over their norms, and the row of old where W's is 0;
+    also returns the norms, bit-equal to np.linalg.norm(W, axis=2)."""
+    wn = np.sqrt(np.add.reduce(W * W, axis=2))
+    if wn.all():
+        return W / wn[:, :, None], wn
+    zero = wn == 0.0
+    U = W / np.where(zero, 1.0, wn)[:, :, None]
+    U[zero] = old[zero]
+    return U, wn
+
+
 def _best_side(B, p, Vd, vl, Ud):
     """Closed-form best row side given the column side (Vd, vl): direction i
     along W_i = sum_j B_ij l'_j v_j (kept where W_i = 0), lengths the Holder
-    dual of the |W_i| (uniform where every W_i = 0)."""
-    W = (B * vl[:, None, :]) @ Vd
-    wn = np.linalg.norm(W, axis=2)
-    Ud = np.where((wn > 0.0)[:, :, None], W / np.maximum(wn, 1e-300)[:, :, None], Ud)
+    dual of the |W_i| (uniform where every W_i = 0).  Also returns the |W_i|:
+    the new point's value is sum_i l_i |W_i|, since <u_i, W_i> = |W_i|."""
+    Ud, wn = _unit_rows((B * vl[:, None, :]) @ Vd, Ud)
     lens = holder_rows(wn, 1.0 if p == INF else p / (p - 1.0))
     if p != INF and not lens.all():  # zero rows come back zero (q > 1); zeros are rare
         lens[~wn.any(axis=1)] = wn.shape[1] ** (-1.0 / p)
-    return Ud, lens
+    return Ud, lens, wn
 
 
 def _extrapolated_step(B, p, Ud, Vd, ul, vl, val, V1, V2, V3):
@@ -160,11 +175,10 @@ def _extrapolated_step(B, p, Ud, Vd, ul, vl, val, V1, V2, V3):
     two &= np.abs(s) > 1e-6
     c0, c1, c2 = ((c / np.where(two, s, 1.0))[:, None, None] for c in (c0, c1, 1.0))
     X = np.where(two[:, None, None], c0 * V2 + c1 * V1 + c2 * Vd, X)
-    xn = np.linalg.norm(X, axis=2)
-    X = np.where((xn > 0.0)[:, :, None], X / np.maximum(xn, 1e-300)[:, :, None], Vd)
-    tUd, tul = _best_side(B, p, X, vl, Ud)
-    tVd, tvl = _best_side(B.swapaxes(1, 2), p, tUd, tul, X)
-    tval = _gram_value(B, tUd, tVd, tul, tvl)
+    X, _ = _unit_rows(X, Vd)
+    tUd, tul, _ = _best_side(B, p, X, vl, Ud)
+    tVd, tvl, wn = _best_side(B.swapaxes(1, 2), p, tUd, tul, X)
+    tval = np.vecdot(tvl, wn)
     take = (one | two) & (tval > val)
     return (np.where(take[:, None, None], tUd, Ud), np.where(take[:, None, None], tVd, Vd),
             np.where(take[:, None], tul, ul), np.where(take[:, None], tvl, vl),
@@ -176,11 +190,13 @@ def _block_ascent(B, p, Ud, Vd, ul, vl, *, iters: int, rtol: float):
 
     Each half step fixes one side and sets the other side's factors to their
     closed-form best (_best_side).  The value never falls and every iterate
-    is feasible.  From step 2 * _EXTRAP_EVERY on, every _EXTRAP_EVERY-th step
-    also tries _extrapolated_step where m + n <= _EXTRAP_MAX_N.  Each problem
-    stops at its own plateau, a gain of at most rtol * (1 + |value|), or after
-    ``iters`` steps; returns the factors, the values and each problem's last
-    gain.
+    is feasible.  A step costs two products with B and no Gram product: the
+    Gram value is taken once, at the start point, and each step's value is
+    sum_j l'_j |W'_j| from its column half step.  From step 2 * _EXTRAP_EVERY
+    on, every _EXTRAP_EVERY-th step also tries _extrapolated_step where
+    m + n <= _EXTRAP_MAX_N.  Each problem stops at its own plateau, a gain of
+    at most rtol * (1 + |value|), or after ``iters`` steps; returns the
+    factors, the values and each problem's last gain.
     """
     val = _gram_value(B, Ud, Vd, ul, vl)
     gain = np.full(len(B), INF)
@@ -190,15 +206,15 @@ def _block_ascent(B, p, Ud, Vd, ul, vl, *, iters: int, rtol: float):
     V1 = V2 = Vd  # the column directions one and two steps back
     for t in range(1, iters + 1):
         V3, V2, V1 = V2, V1, Vd
-        Ud, ul = _best_side(B, p, Vd, vl, Ud)
-        Vd, vl = _best_side(B.swapaxes(1, 2), p, Ud, ul, Vd)
-        new_val = _gram_value(B, Ud, Vd, ul, vl)
+        Ud, ul, _ = _best_side(B, p, Vd, vl, Ud)
+        Vd, vl, wn = _best_side(B.swapaxes(1, 2), p, Ud, ul, Vd)
+        new_val = np.vecdot(vl, wn)
         if t > every and t % every == 0:
             Ud, Vd, ul, vl, new_val = _extrapolated_step(B, p, Ud, Vd, ul, vl, new_val,
                                                          V1, V2, V3)
         gain = new_val - val
         done = gain <= rtol * (1.0 + np.abs(new_val))
-        val = np.where(done & ~(new_val > val), val, new_val)
+        val = np.maximum(val, new_val)  # a start not done gained, so it takes new_val
         if done.any():
             for r, a in zip(res, (Ud, Vd, ul, vl, val, gain)):
                 r[rows[done]] = a[done]

@@ -83,10 +83,10 @@ CASES = {
 
 PINNED = {
     "cfg-hp": "39619ea3ed6a7e12",
-    "cfg-ml": "7f47ae5979ca7f22",
+    "cfg-ml": "ee7b2cb78257d709",
     "cfg-ml-flag-wins": "443bbe855720f829",
     "cfg-oracle": "f832e29a960d1d9f",
-    "cfg-pq": "010541d501f7c6d5",
+    "cfg-pq": "f3d694eb39474b2a",
     "exit2-cfg-not-object": "9111c8c282db70b7",
     "exit2-cfg-oracle": "18648f21baca13ed",
     "exit2-garbage": "74e3978b60f4d7d8",
@@ -109,11 +109,11 @@ PINNED = {
     "help-ml": "15b5d1038ca101b6",
     "help-pq": "9904997b636519a0",
     "hp-even": "b670c0d6e8d9c2d4",
-    "hp-json": "798940a46b73074e",
+    "hp-json": "00e12fb606f700d4",
     "hp-oracle": "db177d63eee2b852",
     "hp-text": "51cb34746e2939c2",
-    "ml-d2-hyperplane": "9868e2d3e30d7f28",
-    "ml-json": "b11112244e6ec191",
+    "ml-d2-hyperplane": "25964014e691c39d",
+    "ml-json": "f7bb927f73547f8b",
     "ml-oracle": "76d7221b9c40110a",
     "ml-oracle-grid": "86a06986f085d3b4",
     "ml-text": "f812006311b54624",
@@ -123,8 +123,8 @@ PINNED = {
     "oracle-pqnorm": "6cef38fa63163fb4",
     "pq-json": "6016f65824c4819f",
     "pq-max-samples": "f918e2693bcda31b",
-    "pq-oracle": "55648ec6ff284e74",
-    "pq-text": "597dffaf83e4375f",
+    "pq-oracle": "5710f83bde74308b",
+    "pq-text": "934d5cf8e1d0f3a1",
     "symmetrize": "69a140c8512af169",
 }
 

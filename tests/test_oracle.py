@@ -816,3 +816,21 @@ def test_oracle_pins_hold_on_one_blas_thread():
     assert len(digests) == 17 + 40 + 12
     moved = {case for case, digest in digests.items() if digest != PINNED_ORACLES[case]}
     assert moved == {"grid-ml-long-last-slot"}
+
+
+def test_solver_pins_hold_on_one_blas_thread():
+    # the certificate pins of the solvers and the CLI reports must hold under
+    # the benchmark's BLAS setting too; the pinned tests run in a subprocess
+    from test_cli_reports import CASES
+    from test_mlopt import _PINNED_ML
+
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(lpmax.__file__).resolve().parents[1]
+    targets = ["test_mlopt.py::test_pinned_ml_certificates",
+               "test_mlopt.py::test_pinned_hp_certificate", "test_cli_reports.py"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src_dir))
+    res = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          *(str(tests_dir / t) for t in targets)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stdout[-3000:]
+    assert f"\n{len(_PINNED_ML) + 1 + len(CASES)} passed in " in res.stdout, res.stdout[-500:]

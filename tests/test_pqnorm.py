@@ -89,8 +89,7 @@ def test_solve_vecp_gram_feasibility(rng):
         assert np.all(g.u_lens >= -1e-12) and np.all(g.v_lens >= -1e-12)
         assert lp_norm(g.u_lens, p) <= 1.0 + 1e-9
         assert lp_norm(g.v_lens, p) <= 1.0 + 1e-9
-        M = (g.u_dirs * g.u_lens[:, None]) @ (g.v_dirs * g.v_lens[:, None]).T
-        assert abs(float(np.sum(B * M)) - g.value) <= 1e-9 * (1.0 + abs(g.value))
+        assert abs(_gram_value(B, g) - g.value) <= 1e-9 * (1.0 + abs(g.value))
 
 
 def test_solve_vecp_scale_equivariance(rng):
@@ -180,6 +179,55 @@ def test_extrapolated_steps_do_not_lower_the_value(monkeypatch):
     assert all(f >= v * (1.0 - 1e-12) for f, v in zip(fast, plain))
     assert fast[0] > plain[0]
     assert fast[-1] == plain[-1]
+
+
+def _planted(rng, m, n):
+    return sum(np.outer(rng.standard_normal(m), rng.standard_normal(n)) for _ in range(2))
+
+
+def _zero_row_and_column(rng, m, n):
+    B = rng.standard_normal((m, n))
+    B[1], B[:, 2] = 0.0, 0.0
+    return B
+
+
+def _gram_value(B, g):
+    """sum_ij B_ij u_lens[i] v_lens[j] <u_dirs[i], v_dirs[j]>, formed in full."""
+    M = (g.u_dirs * g.u_lens[:, None]) @ (g.v_dirs * g.v_lens[:, None]).T
+    return float(np.sum(B * M))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160])
+@pytest.mark.parametrize("p", [3.0, "7/2", 4.0, INF])
+def test_value_is_the_gram_value_of_the_factors(p, scale):
+    # the ascent takes each step's value in closed form from its last half
+    # step; it must be the value of the factors it returns
+    for i, make in enumerate((lambda r, m, n: r.standard_normal((m, n)), _planted,
+                              _zero_row_and_column)):
+        B = scale * make(np.random.default_rng(60 + i), 5 + i, 7 - i)
+        [(g, _)] = solve_vecp_stack(B[None], p)
+        want = _gram_value(B, g)
+        assert abs(g.value - want) <= 1e-12 * abs(want), (i, g.value, want)
+
+
+@pytest.mark.parametrize("p", [INF, 4.0])
+def test_value_never_falls_as_max_iter_grows(p):
+    # each start's path does not depend on max_iter, and its value never falls;
+    # the 6 x 6 matrix tries extrapolated steps, the 7 x 6 one runs the plain
+    # ascent.  Cut off after an extrapolated step (k = 20, 30, ...), the value
+    # is still that of the factors returned
+    for B in (np.random.default_rng(37).standard_normal((6, 6)),
+              np.random.default_rng(41).standard_normal((7, 6))):
+        values = []
+        for k in range(1, 61):
+            try:
+                g = solve_vecp(B, p, max_iter=k)
+            except ConvergenceError as exc:
+                g = exc.best
+            assert abs(g.value - _gram_value(B, g)) <= 1e-12 * g.value, k
+            values.append(g.value)
+        assert all(b >= a for a, b in zip(values, values[1:])), values
+        assert values[-1] > values[0]
 
 
 # relaxation values of the earlier projected-gradient/Dykstra solver on a seeded

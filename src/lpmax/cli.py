@@ -214,7 +214,7 @@ def _pqnorm(A, p, vals):
         raise ShapeError(f"pqnorm needs an order-2 tensor, got order {A.order}")
     cert = solve_ml(MlInstance(A, p, _solver_config(vals)))
     return cert.value, {**_block(RoundedPair(*cert.xs, cert.value)),
-                        "relax_value": cert.relax_value}
+                        "upper_bound": cert.upper_bound}
 
 
 # the independent oracle of each mode; a bilinear problem is the order-2

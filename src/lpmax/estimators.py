@@ -78,8 +78,8 @@ class MultilinearFormMaximizer(_TensorMaximizer):
 
     fit(A) runs the recursive sampling pipeline and exposes its MlCertificate.
     On a matrix B this is the bilinear problem, the p -> q norm of B: y, z =
-    xs_ are the rounded pair, value_ its feasible lower bound and
-    relax_value_ the relaxation value.
+    xs_ are the rounded pair and value_ its feasible lower bound.  At every
+    order upper_bound_ caps the optimum, so value_ <= OPT <= upper_bound_.
     """
 
     def fit(self, A, y=None):

@@ -49,9 +49,11 @@ class HpInstance(MlInstance):
 
 @dataclass(frozen=True)
 class HpCertificate:
+    """value = f_A(x_hat) <= OPT <= upper_bound, solve_ml's cap on f_A(x) = F_A(x, .., x)."""
     x_hat: np.ndarray
     value: float
     ml_value: float
+    upper_bound: float
     parity: str
     seed: int
 
@@ -154,4 +156,4 @@ def solve_hp(inst: HpInstance) -> HpCertificate:
         x_hat, value = polarize_even(inst.tensor, cert.xs, inst.p)
         parity = "even"
     return HpCertificate(x_hat=x_hat, value=float(value), ml_value=cert.value,
-                         parity=parity, seed=cert.seed)
+                         upper_bound=cert.upper_bound, parity=parity, seed=cert.seed)

@@ -24,20 +24,19 @@ Each level is bound-and-pruned.  Every candidate gets an upper bound on all
 it can score, :func:`lpmax.tensor.slot_bounds`: the p->q bound on the
 (slot 2 | rest) unfolding of its contraction, tightened by _DUAL_STEPS steps
 on the relaxation's dual, plus a rounding allowance; at every order it caps
-both the rounded value and the value of every feasible point of each
-relaxation solved below the candidate.  Where the candidates contract to
+every value rounded below the candidate.  Where the candidates contract to
 matrices, the dual steps bring the bound to within about 1 % of the
 relaxation value, so the first stack of solves holds nearly every candidate
 that can win, and a level's cost does not swing with how loose its bounds
 happen to be.  Candidates are visited in descending-bound order, ties by
-index, and the level stops at the first bound strictly below both the best
-rounded value and the best relaxation value found so far.  No skipped candidate could win, tie the
-winner or raise relax_value, so xs, value and relax_value are those of a
-level that solves every candidate.  The distinct matrices not yet solved go
-to stacked relaxation solves (:func:`lpmax.pqnorm.solve_vecp_stack`), _STACK
-at a time in visiting order; candidates that contract to the same matrix
-reuse that solve within a ``solve_ml`` call, and each is still rounded on
-its own stream.
+index, and the level stops at the first bound strictly below the best
+rounded value found so far.  No skipped candidate could win or tie the
+winner, so xs and value are those of a level that solves every candidate.
+The distinct matrices not yet solved go to stacked relaxation solves
+(:func:`lpmax.pqnorm.solve_vecp_stack`), _STACK at a time in visiting order;
+candidates that contract to the same matrix reuse that solve within a
+``solve_ml`` call, and each is still rounded on its own stream.  The
+certificate's upper_bound is taken once, outside the recursion.
 """
 from __future__ import annotations
 
@@ -50,7 +49,7 @@ from .errors import ConvergenceError, DegenerateInputError, ShapeError
 from .pqnorm import round_gram, solve_vecp, solve_vecp_stack
 from .sampler import (MASK64, STREAM_CANDIDATE, STREAM_TRIALS, derive_rng, draw_candidates,
                       sample_count)
-from .tensor import Tensor, as_tensor, contract_first, eval_multilinear, slot_bounds
+from .tensor import Tensor, as_tensor, contract_first, eval_multilinear, form_bound, slot_bounds
 from .validation import check_p, conjugate_exponent
 
 _STACK = 16  # distinct matrices per stacked relaxation solve of a candidate level
@@ -79,11 +78,8 @@ class MlInstance:
 class MlCertificate:
     """Feasible vectors for all d slots plus the value they achieve.
 
-    relax_value is the relaxation-side bound reached in the recursion (the
-    best d = 2 relaxation value over sampled candidates).  A pruned candidate
-    never counts towards it, and never needs to: its bound, which caps its
-    relaxation value, was below the best relaxation value already found.
     value is always recomputed from xs, and nonnegative by sign normalization.
+    upper_bound is tensor.form_bound of the whole tensor: value <= OPT <= upper_bound.
     samples_capped says that max_samples cut the first slot's candidate draws
     below the analysis's sample_count.
     """
@@ -92,7 +88,7 @@ class MlCertificate:
     value: float
     seed: int
     trials_used: int
-    relax_value: float
+    upper_bound: float
     samples_capped: bool
 
 
@@ -126,7 +122,7 @@ def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
     else:  # a d = 2 instance is never stacked; solve_vecp raises on non-convergence
         g = solve_vecp(arr, p, cfg.tol, cfg.max_iter)
     pair = round_gram(arr, g, cfg.strategy, cfg.trials, rng)
-    return [pair.y, pair.z], pair.value, g.value
+    return [pair.y, pair.z], pair.value
 
 
 def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tuple,
@@ -150,24 +146,22 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
     bounds = slot_bounds(arr, np.stack(rows), conjugate_exponent(p), _DUAL_STEPS)
     bounds = bounds[[where[key] for key in keys]]
     order = sorted(range(M), key=lambda i: (-bounds[i], i))
-    best, best_value, relax_value = None, -np.inf, -np.inf
+    best, best_value = None, -np.inf
     for k, i in enumerate(order):
-        floor = min(best_value, relax_value)
-        if bounds[i] < floor:
-            break  # no candidate from here on can win, tie or raise relax_value
+        if bounds[i] < best_value:
+            break  # no candidate from here on can win or tie
         sub = subs[i]
         if not sub.any():
             # valid zero-scoring candidate: fill remaining slots with basis vectors
-            xs, value, relax = [np.eye(n)[0] for n in sub.shape], 0.0, 0.0
+            xs, value = [np.eye(n)[0] for n in sub.shape], 0.0
         else:
             if sub.ndim == 2 and _key(sub) not in memo:
-                _solve_next((subs[j] for j in order[k:] if bounds[j] >= floor), p, cfg, memo)
-            xs, value, relax = _solve_rec(sub, p, cfg, root, path + (i,), memo)
-        relax_value = max(relax_value, relax)
+                _solve_next((subs[j] for j in order[k:] if bounds[j] >= best_value), p, cfg, memo)
+            xs, value = _solve_rec(sub, p, cfg, root, path + (i,), memo)
         if value > best_value or (value == best_value and i < best):  # ties -> first index
             best, best_value, best_xs = i, value, xs
     xs = [xis[best].copy()] + list(best_xs)
-    return xs, eval_multilinear(arr, xs), relax_value
+    return xs, eval_multilinear(arr, xs)
 
 
 def solve_ml(inst: MlInstance) -> MlCertificate:
@@ -175,17 +169,17 @@ def solve_ml(inst: MlInstance) -> MlCertificate:
     derives from the root seed cfg.seed & MASK64, which the certificate carries."""
     A, p, cfg = inst.tensor, inst.p, inst.cfg
     root = int(cfg.seed) & MASK64
-    xs, _value, relax = _solve_rec(A.data, p, cfg, root, (), {})
+    xs, _value = _solve_rec(A.data, p, cfg, root, (), {})
     trials_used, samples_capped = cfg.trials, False
     if A.order >= 3:
         trials_used = sample_count(A.dims[0], p, max_samples=cfg.max_samples)
         samples_capped = sample_count(A.dims[0], p) > trials_used
     value = eval_multilinear(A, xs)
     if value < 0.0:
-        xs[0] = -xs[0]
-        value = -value
+        xs[0], value = -xs[0], -value
     return MlCertificate(xs=tuple(xs), value=float(value), seed=root, trials_used=trials_used,
-                         relax_value=float(relax), samples_capped=samples_capped)
+                         upper_bound=form_bound(A.data, conjugate_exponent(p)),
+                         samples_capped=samples_capped)
 
 
 def solve_ml_d2(B, p, cfg: SolverConfig | None = None) -> MlCertificate:

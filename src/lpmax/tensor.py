@@ -165,7 +165,9 @@ def row_norms(X: np.ndarray, r: float) -> np.ndarray:
     if r == 1.0:
         return np.abs(X).sum(axis=1)
     with np.errstate(over="ignore"):
-        total = np.sum(np.abs(X) ** r, axis=1)
+        total = np.abs(X)
+        total **= r  # in place: X costs one temporary of its size, not two
+        total = total.sum(axis=1)
     out = total ** (1.0 / r)
     redo = np.flatnonzero(~((total >= TINY) & (total < INF)))
     if redo.size:
@@ -291,6 +293,14 @@ def slot_bounds(arr: np.ndarray, X: np.ndarray, q: float, steps: int = 0) -> np.
     out += rounding_allowance(arr, X, q)
     out[np.isnan(out)] = np.inf
     return out
+
+
+def form_bound(arr: np.ndarray, q: float) -> float:
+    """Upper bound on F_arr over unit L_p balls (p = q*, q in [1, 2]): the least
+    matrix_bounds bound of a (slot j | rest) unfolding, as ||x (x) y||_p = ||x||_p ||y||_p."""
+    bound = min(matrix_bounds(np.moveaxis(arr, j, 0).reshape(1, n, -1), q)[0]
+                for j, n in enumerate(arr.shape))
+    return float(bound + row_norms(arr.reshape(1, -1), q)[0] * _BOUND_SLACK + _BOUND_TINY)
 
 
 def rounding_allowance(arr: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:

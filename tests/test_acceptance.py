@@ -120,7 +120,8 @@ def test_c04_odd_degree_recovery_floor():
 
 
 def test_c05_relaxation_sandwich():
-    """oracle <= relaxation + 1e-4; rounded <= oracle + 1e-6; rounded >= relax/1.783 on >= 95%."""
+    """oracle <= relaxation + 1e-4; oracle <= solve_ml's upper_bound; rounded <= oracle + 1e-6;
+    rounded >= relax/1.783 on >= 95%."""
     rng = np.random.default_rng(777)
     floor_hits = 0
     for k in range(50):
@@ -134,6 +135,8 @@ def test_c05_relaxation_sandwich():
         else:
             orc = grid_ml(B, p, steps=15, refine=24).value
         assert orc <= g.value + 1e-4, (k, orc, g.value)
+        bound = solve_ml(MlInstance(B, p)).upper_bound
+        assert orc <= bound, (k, orc, bound)
         assert pair.value <= orc + 1e-6, (k, pair.value, orc)
         if pair.value >= g.value / 1.783 - 1e-6:
             floor_hits += 1
@@ -214,7 +217,8 @@ def test_c09_rebalancing_monotone():
 
 
 def test_c10_end_to_end_quality():
-    """solve_ml reaches 0.3x the exact optimum on >= 80% of 30 seeded 3x3x3 runs."""
+    """solve_ml reaches 0.3x the exact optimum on >= 80% of 30 seeded 3x3x3 runs, and its
+    upper_bound caps the optimum on all of them."""
     rng = np.random.default_rng(202608)
     hits = 0
     worst = INF
@@ -224,6 +228,7 @@ def test_c10_end_to_end_quality():
         res = solve_ml(inst)
         opt = exact_ml_linf(A).value
         assert res.value <= opt + 1e-6, (k, res.value, opt)
+        assert opt <= res.upper_bound, (k, opt, res.upper_bound)
         ratio = res.value / opt if opt > 0 else 1.0
         worst = min(worst, ratio)
         if res.value >= 0.3 * opt:

@@ -82,11 +82,11 @@ CASES = {
 }
 
 PINNED = {
-    "cfg-hp": "39619ea3ed6a7e12",
-    "cfg-ml": "ee7b2cb78257d709",
-    "cfg-ml-flag-wins": "443bbe855720f829",
+    "cfg-hp": "8fe3cb76489c8570",
+    "cfg-ml": "fbf13982f6035d4e",
+    "cfg-ml-flag-wins": "8a2f738e8c51ba13",
     "cfg-oracle": "f832e29a960d1d9f",
-    "cfg-pq": "f3d694eb39474b2a",
+    "cfg-pq": "1a95a84d33eb28ff",
     "exit2-cfg-not-object": "9111c8c282db70b7",
     "exit2-cfg-oracle": "18648f21baca13ed",
     "exit2-garbage": "74e3978b60f4d7d8",
@@ -108,23 +108,23 @@ PINNED = {
     "help-main": "43bf58ce3fe35c19",
     "help-ml": "15b5d1038ca101b6",
     "help-pq": "9904997b636519a0",
-    "hp-even": "b670c0d6e8d9c2d4",
-    "hp-json": "00e12fb606f700d4",
-    "hp-oracle": "db177d63eee2b852",
-    "hp-text": "51cb34746e2939c2",
-    "ml-d2-hyperplane": "25964014e691c39d",
-    "ml-json": "f7bb927f73547f8b",
-    "ml-oracle": "76d7221b9c40110a",
-    "ml-oracle-grid": "86a06986f085d3b4",
-    "ml-text": "f812006311b54624",
+    "hp-even": "e6f7c401d0e492e5",
+    "hp-json": "8aac527097edfbdc",
+    "hp-oracle": "1958bc336c8493ee",
+    "hp-text": "a12c8d7d6a12da40",
+    "ml-d2-hyperplane": "d270ec6d783d8d03",
+    "ml-json": "d861308d59f1ebdf",
+    "ml-oracle": "3a7d2aa95b85f1ea",
+    "ml-oracle-grid": "151c7bfdbab89766",
+    "ml-text": "7dee8941c9f3953a",
     "oracle-hp": "6bbb16f4db8cccd8",
     "oracle-ml": "5fd0fa33c2584e18",
     "oracle-ml-grid": "4c897e00193ff394",
     "oracle-pqnorm": "6cef38fa63163fb4",
-    "pq-json": "6016f65824c4819f",
+    "pq-json": "acdcb7f98e25fd79",
     "pq-max-samples": "f918e2693bcda31b",
-    "pq-oracle": "5710f83bde74308b",
-    "pq-text": "934d5cf8e1d0f3a1",
+    "pq-oracle": "e908e92c50035d4e",
+    "pq-text": "7a08c60700f26a18",
     "symmetrize": "69a140c8512af169",
 }
 

@@ -12,7 +12,7 @@ from lpmax.hpopt import HpInstance, solve_hp
 from lpmax.mlopt import MlCertificate, MlInstance, solve_ml, solve_ml_d2
 from lpmax.oracle import exact_ml_linf
 from lpmax.cli import run
-from lpmax.pqnorm import KG_BOUND, GramSolution, round_gram, solve_vecp_stack
+from lpmax.pqnorm import GramSolution, round_gram, solve_vecp, solve_vecp_stack
 from lpmax.sampler import MASK64, STREAM_CANDIDATE, STREAM_TRIALS, derive_rng, sample_count
 from lpmax.tensor import (eval_multilinear, matrix_bounds, rounding_allowance, save_tensor,
                           slot_bounds)
@@ -52,7 +52,7 @@ def test_d2_matches_pqnorm_pipeline(rng, tmp_path):
         got = rep.certificate
         assert np.array(got["y"]).tobytes() == cert.xs[0].tobytes()
         assert np.array(got["z"]).tobytes() == cert.xs[1].tobytes()
-        assert (got["value"], got["relax_value"]) == (cert.value, cert.relax_value)
+        assert (got["value"], got["upper_bound"]) == (cert.value, cert.upper_bound)
         assert cert.trials_used == cfg.trials
 
 
@@ -75,7 +75,7 @@ def test_certificate_invariants(rng, p):
         assert lp_norm(x, p) <= 1.0 + 1e-9
     assert cert.value >= 0.0
     assert cert.value == pytest.approx(eval_multilinear(A, cert.xs), rel=1e-10)
-    assert cert.relax_value >= cert.value / KG_BOUND - 1e-6
+    assert cert.value <= cert.upper_bound
     assert cert.trials_used == sample_count(3, p, max_samples=6)
 
 
@@ -246,7 +246,6 @@ def test_pruned_levels_equal_unpruned_levels(monkeypatch, kind, scale, d, p):
     full = solve_ml(inst)
     assert [x.tobytes() for x in pruned.xs] == [x.tobytes() for x in full.xs]
     assert pruned.value == full.value
-    assert pruned.relax_value == full.relax_value
 
 
 @pytest.mark.parametrize("scale", _SCALES)
@@ -377,7 +376,8 @@ def test_slot_bound_caps_order_three_candidates(scale):
                     assert bound >= exact_ml_linf(sub).value, (dims, x)
                 else:
                     cert = solve_ml(MlInstance(sub, p, small_cfg(k)))
-                    assert bound >= cert.value and bound >= cert.relax_value, (dims, x)
+                    relax = solve_vecp(np.tensordot(sub, cert.xs[0], axes=(0, 0)), p).value
+                    assert bound >= cert.value and bound >= relax, (dims, x)
 
 
 @pytest.mark.parametrize("scale", _SCALES)
@@ -460,46 +460,46 @@ def _digests(xs):
 # Pinned certificates, every bit of them.  Sharing candidate relaxations
 # within a solve reuses bit-identical solves only, so it moves none of them.
 _PINNED_ML = [
-    # (data seed, dims, p, config, value, relax_value, sha256 of each xs[i])
-    (101, (3, 3, 3), INF, dict(seed=1), 12.16447182510679, 12.164471825106757, [
+    # (data seed, dims, p, config, value, upper_bound, sha256 of each xs[i])
+    (101, (3, 3, 3), INF, dict(seed=1), 12.16447182510679, 18.144560080665393, [
         "a906b5c6c576156b8dafa08ea066bd0a15913831fc0786f077d681f2d1a918e4",
         "62a2ea5b4ca4ef4893cb5b44a07d87ff3d8fc32d841a33a834c2e0eae59f1a2c",
         "7104782d6bdc0fdba5f94a4023afa0312e8e90258a7090d2dd0743633c47cc38"]),
-    (102, (4, 3, 2), INF, dict(seed=2, trials=40), 15.625768199252253, 15.637820364068686, [
+    (102, (4, 3, 2), INF, dict(seed=2, trials=40), 15.625768199252253, 21.221643067857595, [
         "ca86087ad435069fb6add3ecb9a4a2a166da9bf8e647969cc8d6691202c67a6e",
         "a906b5c6c576156b8dafa08ea066bd0a15913831fc0786f077d681f2d1a918e4",
         "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5"]),
     (103, (2, 4, 3), INF, dict(seed=3, trials=24, max_samples=40),
-     12.673492043142751, 14.35057180564789, [
+     12.673492043142751, 18.236424481058695, [
         "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
         "ca86087ad435069fb6add3ecb9a4a2a166da9bf8e647969cc8d6691202c67a6e",
         "159a9057eb75c1de2efc86707155d0f57cdc58fc8a6fe4aa62ced46dc3c12046"]),
     (104, (2, 2, 2, 2), INF, dict(seed=4, trials=16, max_samples=12),
-     5.974052155936818, 5.974052155936784, [
+     5.974052155936818, 9.18267381637906, [
         "b74fce6cd8bcafd014a1ce8c6585beac59c5f4098a6d499f5d1d42d464146633",
         "b74fce6cd8bcafd014a1ce8c6585beac59c5f4098a6d499f5d1d42d464146633",
         "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
         "e077172409ed971e7cbc8aaf3f5fc99ffd5806da65b60973369d000cf6a32fc6"]),
     (105, (3, 3, 3), 4.0, dict(seed=5, trials=24, max_samples=8),
-     5.444007712706796, 5.444007712706797, [
+     5.444007712706796, 9.685645283458037, [
         "90d76fb992c7044ae85773be3555c90a6e7c976fe2ac3b23d59fb5f5ee18e67f",
         "29fd633060219df980b9c6abb9a0fc262c8afd33f005083a2ce730a75ef35298",
         "1d852931e827be4de887abad4c16176e9be8b78563b4ae07edc5e2cb11f4115b"]),
     (106, (3, 2, 3), 4.0, dict(seed=6, trials=24, max_samples=6),
-     4.187173222618451, 4.18717322261845, [
+     4.187173222618451, 4.896494009955626, [
         "0ffbe0fc95ca419815e260337ed252797063af84b59c69aca7988ef776ad92d7",
         "ccf509b5c420d78b5740e274e60fb265521fcb8a777705c4d290c960f6f0f588",
         "135ae1e6f4e2365c1695b5f41d8275666814d11864a245007e02c96f6ddc7005"]),
 ]
 
 
-@pytest.mark.parametrize("seed,dims,p,kw,value,relax,digests", _PINNED_ML,
+@pytest.mark.parametrize("seed,dims,p,kw,value,bound,digests", _PINNED_ML,
                          ids=[str(case[0]) for case in _PINNED_ML])  # the data seed
-def test_pinned_ml_certificates(seed, dims, p, kw, value, relax, digests):
+def test_pinned_ml_certificates(seed, dims, p, kw, value, bound, digests):
     A = np.random.default_rng(seed).standard_normal(dims)
     cert = solve_ml(MlInstance(A, p, SolverConfig(**kw)))
     assert cert.value == value
-    assert cert.relax_value == relax
+    assert cert.upper_bound == bound
     assert _digests(cert.xs) == digests
 
 
@@ -508,5 +508,6 @@ def test_pinned_hp_certificate():
     cert = solve_hp(HpInstance(S, INF, SolverConfig(seed=7, trials=40)))
     assert cert.value == 9.76616873029814
     assert cert.ml_value == 9.76616873029814
+    assert cert.upper_bound == 11.789821139754553
     assert _digests([cert.x_hat]) == [
         "62a2ea5b4ca4ef4893cb5b44a07d87ff3d8fc32d841a33a834c2e0eae59f1a2c"]

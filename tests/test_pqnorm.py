@@ -317,7 +317,7 @@ def test_pq_norm_lb_within_grothendieck(rng):
         p = [3.0, 4.0, INF][k % 3]
         g = solve_vecp(B, p)
         cert = solve_ml(MlInstance(B, p))
-        assert cert.relax_value == g.value
+        assert g.value <= cert.upper_bound
         assert cert.value <= g.value + 1e-9
         assert cert.value >= g.value / KG_BOUND - 1e-6
 

@@ -154,3 +154,29 @@ def test_every_export_resolves():
     namespace = {}
     exec("from lpmax import *", namespace)
     assert set(lpmax.__all__) <= namespace.keys()
+
+
+def test_one_upper_bound():
+    # a certificate's upper_bound is tensor.form_bound of the instance, taken once
+    # by solve_ml outside the recursion; the polynomial certificate, the reports
+    # and the estimators pass it on and bound nothing themselves
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert [name for name in trees
+            if "relax_value" in (SRC / name).read_text(encoding="utf-8")] == []
+
+    def calls_bound(node):
+        return isinstance(node, ast.Call) and \
+            getattr(node.func, "attr", getattr(node.func, "id", None)) == "form_bound"
+
+    callers = [name for name, tree in trees.items() for node in ast.walk(tree)
+               if calls_bound(node)]
+    assert callers == ["mlopt.py"]
+    solve_ml = next(func for func in ast.walk(trees["mlopt.py"])
+                    if isinstance(func, ast.FunctionDef) and func.name == "solve_ml")
+    assert any(calls_bound(node) for node in ast.walk(solve_ml))
+    kernels = {"form_bound", "slot_bounds", "matrix_bounds", "row_norms", "rounding_allowance"}
+    for name in ("hpopt.py", "cli.py", "estimators.py"):
+        parts = _import_parts(SRC / name)
+        assert "solve_ml" in parts or "solve_hp" in parts  # the walk sees the imports
+        assert parts.isdisjoint(kernels), name

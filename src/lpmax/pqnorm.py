@@ -46,7 +46,7 @@ from .config import SolverConfig
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ShapeError
 from .sampler import derive_rng
 from .tensor import holder_rows
-from .validation import INF, TINY, as_float_array, as_matrix, check_p
+from .validation import INF, as_float_array, as_matrix, check_p, row_norms
 
 KRIVINE_C = math.log(1.0 + math.sqrt(2.0))  # sinh(KRIVINE_C) = 1
 KG_BOUND = math.pi / (2.0 * KRIVINE_C)  # < 1.783
@@ -54,7 +54,6 @@ KG_BOUND = math.pi / (2.0 * KRIVINE_C)  # < 1.783
 # stacks are solved in chunks, which bounds the solver's working memory at
 # about a dozen such arrays whatever k and N are
 _STACK_ELEMS = 1 << 13
-_SQRT_TINY = math.sqrt(TINY)  # a smaller norm has subnormal squares
 # from step 2 * _EXTRAP_EVERY on, every _EXTRAP_EVERY-th step of a start still
 # ascending also tries an extrapolated step (see _extrapolated_step), on
 # matrices with m + n <= _EXTRAP_MAX_N: the contractions the recursion solves
@@ -109,12 +108,6 @@ class RoundedPair:
 # ---------------------------------------------------------------------------
 # the relaxation solve: block ascent on the Gram factors
 # ---------------------------------------------------------------------------
-
-def _fro(A: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each slice, bit-equal to np.linalg.norm of the slice."""
-    f = A.reshape(len(A), -1)
-    return np.sqrt(np.vecdot(f, f))
-
 
 def _gram_value(B, Ud, Vd, ul, vl) -> np.ndarray:
     M = (Ud * ul[:, :, None]) @ (Vd * vl[:, :, None]).swapaxes(1, 2)
@@ -239,14 +232,7 @@ def _solve_chunk(B: np.ndarray, pf: float, tol: float, max_iter: int):
     more steps at that rate would add at most tol.
     """
     k, m, n = B.shape
-    with np.errstate(over="ignore"):
-        scale = _fro(B)
-    # where the plain sum of squares under- or overflows, take the norm of B / max|B|
-    # instead; every other matrix keeps the plain norm, and with it its bits
-    bad = ~((scale > _SQRT_TINY) & (scale < INF))
-    if bad.any():
-        top = np.abs(B[bad]).max(axis=(1, 2))
-        scale[bad] = top * _fro(B[bad] / top[:, None, None])
+    scale = row_norms(B.reshape(k, -1), 2.0)  # Frobenius norms, safe at any scale
     Bh = B / scale[:, None, None]
     l0u, l0v = np.full(m, m ** (-1.0 / pf)), np.full(n, n ** (-1.0 / pf))  # 1 at p = inf
     starts = []

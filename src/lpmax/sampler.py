@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .validation import INF, check_p, lp_norm
+from .validation import INF, check_p, lp_norm, row_norms
 
 MASK64 = (1 << 64) - 1
 STREAM_TRIALS = 0x51  # path element of every rounding-trial stream
@@ -55,12 +55,9 @@ def sample_pgauss(n: int, p, rng: np.random.Generator):
     pf = check_p(p)
     if pf == INF:
         raise DomainError("p-Gaussian sampling needs finite p; use sample_rademacher")
-    eps = sample_rademacher(n, rng)
-    g = rng.gamma(1.0 / pf, 1.0, size=n)
-    xi = eps * g ** (1.0 / pf)
+    xi = sample_rademacher(n, rng) * rng.gamma(1.0 / pf, 1.0, size=n) ** (1.0 / pf)
     nrm = lp_norm(xi, pf)
-    xi_normalized = xi / nrm if nrm > 0 else xi.copy()
-    return xi, xi_normalized
+    return xi, xi / nrm if nrm > 0 else xi.copy()
 
 
 def _hashmix(value, h: int, mult: int = _MULT_A):
@@ -110,7 +107,7 @@ def draw_candidates(seed: int, path: tuple, count: int, n: int, p) -> np.ndarray
     Python ints.  A sign is the top bit of the next 32-bit half of a PCG64
     output, low half first: numpy's bounded draw for a range of 2.  At finite
     p one Generator, set to each candidate's state after its signs, draws its
-    Gamma(1/p, 1) row, and each row's L_p root is a scalar pow, as in lp_norm.
+    Gamma(1/p, 1) row, and each row is divided by its norm from row_norms.
     This reproduces numpy's SeedSequence, PCG64 and bounded-integer algorithms,
     which tests/test_sampler.py checks against derive_rng.
     """
@@ -148,8 +145,8 @@ def draw_candidates(seed: int, path: tuple, count: int, n: int, p) -> np.ndarray
                         "has_uint32": n % 2, "uinteger": upper}
         row[:] = gen.gamma(1.0 / pf, 1.0, size=n)
     xi = eps * g ** (1.0 / pf)
-    roots = [t ** (1.0 / pf) for t in np.sum(np.abs(xi) ** pf, axis=1).tolist()]
-    return xi / np.array([r if r > 0 else 1.0 for r in roots])[:, None]
+    nrm = row_norms(xi, pf)
+    return xi / np.where(nrm > 0.0, nrm, 1.0)[:, None]
 
 
 def sample_count(n: int, p, max_samples: int | None = None) -> int:

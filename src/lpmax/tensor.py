@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ResourceLimitError, ShapeError
-from .validation import INF, TINY, as_vector
+from .validation import INF, as_vector, row_norms
 
 DENSE_CAP = 10_000_000  # most entries Tensor, tensor_from_doc and symmetrize allocate
 SYM_TOL = 1e-9  # asymmetry polynomial inputs may carry, relative to 1 + max|a|
@@ -150,62 +150,20 @@ def is_supersymmetric(A, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# row norms, Holder duals and p->q norm bounds, shared by the oracle scans and solver
+# Holder duals and p->q norm bounds on validation.row_norms, shared by the oracle and solver
 # ---------------------------------------------------------------------------
-
-def row_norms(X: np.ndarray, r: float) -> np.ndarray:
-    """L_r norm of each row of X, for r = inf, 1 or a power.
-
-    A row whose power sum under- or overflows (it falls outside [smallest
-    normal, inf)) while its largest entry is finite and nonzero is taken over
-    that entry instead, so its norm stays accurate; every other row keeps the
-    plain power sum's bits."""
-    if r == INF:
-        return np.max(np.abs(X), axis=1)
-    if r == 1.0:
-        return np.abs(X).sum(axis=1)
-    with np.errstate(over="ignore"):
-        total = np.abs(X)
-        total **= r  # in place: X costs one temporary of its size, not two
-        total = total.sum(axis=1)
-    out = total ** (1.0 / r)
-    redo = np.flatnonzero(~((total >= TINY) & (total < INF)))
-    if redo.size:
-        absx = np.abs(X[redo])
-        top = absx.max(axis=1)
-        ok = (top > 0.0) & (top < INF)  # zero rows stay 0, inf and nan rows as they are
-        top = top[ok]
-        out[redo[ok]] = top * np.sum((absx[ok] / top[:, None]) ** r, axis=1) ** (1.0 / r)
-    return out
-
 
 def holder_rows(Y: np.ndarray, q: float) -> np.ndarray:
     """Row-wise Holder dual for q in [1, 2]: row i is a unit-L_p vector x
-    (p = q/(q-1)) with x.Y_i = ||Y_i||_q, zero where Y_i is (q > 1); sign
-    vectors (sign(0) := +1) at q = 1, Y_i / sqrt(Y_i.Y_i) at q = 2.  A row whose
-    power sum leaves [smallest normal, inf) is taken over Y_i / max|Y_i|, which
-    has the same dual.  The root is a scalar pow per row, as numpy's vectorized
-    pow can round differently and a stacked row must equal its solo dual."""
+    (p = q/(q-1)) with x.Y_i = ||Y_i||_q, zero where Y_i is (q > 1), and sign
+    vectors (sign(0) := +1) at q = 1.  Row i is (|Y_i| / ||Y_i||_q)^(q-1)
+    signed as Y_i, with the norm from row_norms: a row whose power sum leaves
+    [smallest normal, inf) keeps an accurate dual, and a stacked row equals
+    its solo dual."""
     if q == 1.0:
         return np.where(Y >= 0.0, 1.0, -1.0)
-
-    def power_sums(A):  # of the rows of A = |Y|
-        return (np.vecdot(A, A) if q == 2.0 else np.sum(A ** q, axis=1)).tolist()
-
-    A = np.abs(Y)
-    with np.errstate(over="ignore"):
-        sums = power_sums(A)
-        # zero, inf and nan rows are never rescaled, so min and max may skip a nan sum
-        if not min(sums) >= TINY or not max(sums) < INF:
-            total, top = np.array(sums), A.max(axis=1)
-            bad = ~((total >= TINY) & (total < INF)) & (top > 0.0) & (top < INF)
-            Y = Y / np.where(bad, top, 1.0)[:, None]
-            A = np.abs(Y)
-            sums = power_sums(A)
-    if q == 2.0:
-        return Y / np.sqrt([t if t > 0.0 else 1.0 for t in sums])[:, None]
-    root = np.array([t ** (1.0 / q) if t > 0.0 else 1.0 for t in sums])
-    return np.sign(Y) * (A / root[:, None]) ** (q - 1.0)
+    nrm = row_norms(Y, q)
+    return np.copysign((np.abs(Y) / np.where(nrm > 0.0, nrm, 1.0)[:, None]) ** (q - 1.0), Y)
 
 
 def holder_dual(y, q) -> np.ndarray:
@@ -330,28 +288,35 @@ def tensor_to_doc(A) -> dict:
 
 
 def tensor_from_doc(doc: Mapping) -> Tensor:
-    """Parse the shared format; accepts either a "coo" or a "dense" payload."""
+    """Parse the shared format: integer dims and either a "coo" payload (integer
+    indices, numeric values) or a numeric "dense" one; anything else is a ShapeError."""
+    def json_number(v, kinds=(int, float)) -> bool:
+        return isinstance(v, kinds) and not isinstance(v, bool)  # JSON's true is no number
     if "dims" not in doc:
         raise ShapeError('tensor document needs a "dims" field')
-    dims = [int(n) for n in doc["dims"]]
-    if any(n < 1 for n in dims):
-        raise ShapeError(f"dims must be positive, got {dims}")
+    dims = list(doc["dims"])
+    if not all(json_number(n, int) and n >= 1 for n in dims):
+        raise ShapeError(f"dims must be positive integers, got {dims}")
     size = int(np.prod(dims)) if dims else 1
     if size > DENSE_CAP:
         raise ResourceLimitError(f"{size} entries exceeds the dense cap of {DENSE_CAP}")
     if "dense" in doc:
-        arr = np.asarray(doc["dense"], dtype=np.float64).reshape(dims)
-        return Tensor(arr)
+        arr = np.asarray(doc["dense"])
+        if arr.dtype.kind not in "iuf":
+            raise ShapeError(f"dense payload must hold numbers, got dtype {arr.dtype}")
+        return Tensor(arr.reshape(dims))
     if "coo" not in doc:
         raise ShapeError('tensor document needs a "coo" or "dense" field')
     arr = np.zeros(dims)
     for row in doc["coo"]:
         if len(row) != len(dims) + 1:
             raise ShapeError(f"coo row {row} should hold {len(dims)} indices plus a value")
-        idx = tuple(int(i) - 1 for i in row[:-1])
+        if not all(json_number(i, int) for i in row[:-1]) or not json_number(row[-1]):
+            raise ShapeError(f"coo row {row} needs integer indices and a numeric value")
+        idx = tuple(i - 1 for i in row[:-1])
         if any(i < 0 or i >= n for i, n in zip(idx, dims)):
             raise ShapeError(f"coo row {row} out of range for dims {dims}")
-        arr[idx] += float(row[-1])  # duplicates accumulate
+        arr[idx] += row[-1]  # duplicates accumulate
     return Tensor(arr)
 
 

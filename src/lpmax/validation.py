@@ -76,23 +76,35 @@ def conjugate_exponent(p) -> float:
     return float(frac / (frac - 1))
 
 
-def lp_norm(x, p) -> float:
-    """The L_p norm for p in [1, inf].
+def row_norms(X: np.ndarray, r: float) -> np.ndarray:
+    """L_r norm of each row of X, for r = inf or r >= 1: the package's one
+    power sum, root and under- or overflow rescue.
 
-    A power sum that under- or overflows (it falls outside [smallest normal,
-    inf)) while max|x| is finite and nonzero is taken over x / max|x|, as in
-    tensor.row_norms; every other input keeps the plain power sum's bits."""
-    v = np.asarray(x, dtype=np.float64)
-    if p == INF:
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    pf = float(p)
-    if pf == 1.0:
-        return float(np.sum(np.abs(v)))
-    if pf == 2.0:
-        return float(np.linalg.norm(v))
-    absv = np.abs(v)
+    A row whose power sum under- or overflows (it falls outside [smallest
+    normal, inf)) while its largest entry is finite and nonzero is taken over
+    that entry instead, so its norm stays accurate; every other row keeps the
+    plain power sum's bits.  numpy's vectorized pow rounds a value the same
+    at every array length and stride (tests/test_tensor.py checks it), so a
+    row of a stack has the bits of that row alone."""
+    if r == INF:
+        return np.max(np.abs(X), axis=1, initial=0.0)
     with np.errstate(over="ignore"):
-        total = np.sum(absv ** pf)
-    if not TINY <= total < INF and 0.0 < (top := absv.max(initial=0.0)) < INF:
-        return float(top * np.sum((absv / top) ** pf) ** (1.0 / pf))
-    return float(total ** (1.0 / pf))
+        total = np.abs(X)
+        total **= r  # in place: X costs one temporary of its size, not two
+        total = np.add.reduce(total, axis=1)
+    out = total ** (1.0 / r)
+    # the common case: every sum in range (false on a nan sum) needs no mask
+    if np.minimum.reduce(total, initial=INF) >= TINY and np.maximum.reduce(total, initial=0) < INF:
+        return out
+    redo = np.flatnonzero(~((total >= TINY) & (total < INF)))
+    absx = np.abs(X[redo])
+    top = absx.max(axis=1, initial=0.0)
+    ok = (top > 0.0) & (top < INF)  # zero rows stay 0, inf and nan rows as they are
+    top = top[ok]
+    out[redo[ok]] = top * np.add.reduce((absx[ok] / top[:, None]) ** r, axis=1) ** (1.0 / r)
+    return out
+
+
+def lp_norm(x, p) -> float:
+    """The L_p norm for p in [1, inf]: row_norms of x as one row; 0 when x is empty."""
+    return float(row_norms(np.asarray(x, dtype=np.float64).reshape(1, -1), float(p))[0])

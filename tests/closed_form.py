@@ -35,6 +35,11 @@ def diagonal(rng, n, d, p, scale=1.0):
     lam = scale * rng.standard_normal(n)
     A = np.zeros((n,) * d)
     A[(np.arange(n),) * d] = lam
+    return A, diagonal_opt(lam, d, p)
+
+
+def diagonal_opt(lam, d, p):
+    """OPT of the diagonal tensor of lam at order d (see diagonal)."""
     if p == math.inf:
-        return A, norm(lam, 1.0)
-    return A, norm(lam, p / (p - d) if p > d else math.inf)
+        return norm(lam, 1.0)
+    return norm(lam, p / (p - d) if p > d else math.inf)

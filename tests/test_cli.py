@@ -149,6 +149,15 @@ def test_exit_code_parse_errors(runner, files):
     assert runner.invoke(main, ["solve-ml", missing, "--p", "inf"]).exit_code == EXIT_PARSE
 
 
+def test_exit_code_non_integer_document(runner, tmp_path):
+    # a document the reader used to truncate: dims 2.7 and index 1.9
+    for doc in ('{"dims": [2.7, 2], "coo": []}', '{"dims": [2, 2], "coo": [[1.9, 1, 1.0]]}'):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        res = runner.invoke(main, ["solve-ml", str(bad), "--p", "inf"])
+        assert res.exit_code == EXIT_PARSE and "error:" in res.stderr, doc
+
+
 def test_exit_code_degenerate(runner, files):
     assert runner.invoke(main, ["solve-ml", files["zero"], "--p", "inf"]).exit_code == EXIT_DEGENERATE
     # non-supersymmetric tensor for the polynomial solver

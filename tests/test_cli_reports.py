@@ -86,7 +86,7 @@ PINNED = {
     "cfg-ml": "fbf13982f6035d4e",
     "cfg-ml-flag-wins": "8a2f738e8c51ba13",
     "cfg-oracle": "f832e29a960d1d9f",
-    "cfg-pq": "1a95a84d33eb28ff",
+    "cfg-pq": "d57a0c8a8daa09d9",
     "exit2-cfg-not-object": "9111c8c282db70b7",
     "exit2-cfg-oracle": "18648f21baca13ed",
     "exit2-garbage": "74e3978b60f4d7d8",
@@ -108,20 +108,20 @@ PINNED = {
     "help-main": "43bf58ce3fe35c19",
     "help-ml": "15b5d1038ca101b6",
     "help-pq": "9904997b636519a0",
-    "hp-even": "e6f7c401d0e492e5",
-    "hp-json": "8aac527097edfbdc",
+    "hp-even": "84d4b62b86ae6859",
+    "hp-json": "adab6de2c5b9d1b1",
     "hp-oracle": "1958bc336c8493ee",
     "hp-text": "a12c8d7d6a12da40",
     "ml-d2-hyperplane": "d270ec6d783d8d03",
-    "ml-json": "d861308d59f1ebdf",
+    "ml-json": "541cb2172b07a1e7",
     "ml-oracle": "3a7d2aa95b85f1ea",
-    "ml-oracle-grid": "151c7bfdbab89766",
+    "ml-oracle-grid": "7422a6fb2c925e15",
     "ml-text": "7dee8941c9f3953a",
     "oracle-hp": "6bbb16f4db8cccd8",
     "oracle-ml": "5fd0fa33c2584e18",
     "oracle-ml-grid": "4c897e00193ff394",
     "oracle-pqnorm": "6cef38fa63163fb4",
-    "pq-json": "acdcb7f98e25fd79",
+    "pq-json": "6ae044e8bf454678",
     "pq-max-samples": "f918e2693bcda31b",
     "pq-oracle": "e908e92c50035d4e",
     "pq-text": "7a08c60700f26a18",

@@ -147,6 +147,12 @@ def test_polarize_odd_rejects_even_degree(rng):
         polarize_odd(A, [np.ones(2)] * 4, INF)
 
 
+def test_polarization_needs_one_vector_per_slot(rng):
+    A = random_supersym(rng, 2, 3)
+    with pytest.raises(ShapeError, match="need 3 vectors"):
+        polarize_odd(A, [np.ones(2)] * 2, INF)
+
+
 def test_polarize_odd_degenerate_inputs():
     A = np.zeros((2, 2, 2))
     A[0, 0, 0] = 1.0

@@ -483,8 +483,8 @@ _PINNED_ML = [
     (105, (3, 3, 3), 4.0, dict(seed=5, trials=24, max_samples=8),
      5.444007712706796, 9.685645283458037, [
         "90d76fb992c7044ae85773be3555c90a6e7c976fe2ac3b23d59fb5f5ee18e67f",
-        "29fd633060219df980b9c6abb9a0fc262c8afd33f005083a2ce730a75ef35298",
-        "1d852931e827be4de887abad4c16176e9be8b78563b4ae07edc5e2cb11f4115b"]),
+        "8e866d4eb28136673c788535123c9b95aae23338d15d8a90df1fe6c99cd61539",
+        "e71481e26a0a9547c816c8de636310acea5047bb2067e56fcc43c0c98ddee50e"]),
     (106, (3, 2, 3), 4.0, dict(seed=6, trials=24, max_samples=6),
      4.187173222618451, 4.896494009955626, [
         "0ffbe0fc95ca419815e260337ed252797063af84b59c69aca7988ef776ad92d7",

@@ -743,19 +743,19 @@ PINNED_ORACLES = {
     "grid-ml-d5": "aac7bbc7a9bfa31b",
     "grid-ml-inner-streamed": "8ff512cea8a2b192",
     "grid-ml-int-ties": "1d3448954168f895",
-    "grid-ml-long-last-slot": "8b595286fa66c35a",
+    "grid-ml-long-last-slot": "103468660fee76c1",
     "grid-ml-p2.0-r0-d2": "1667af49e0b33366",
     "grid-ml-p2.0-r0-d3": "79e71bc53f88434a",
     "grid-ml-p2.0-r1-d2": "9f9d0acd11cf9d70",
-    "grid-ml-p2.0-r1-d3": "386d1a7d6eafd039",
+    "grid-ml-p2.0-r1-d3": "ec6657a178e9428d",
     "grid-ml-p2.0-r6-d2": "fa065d99bd891471",
-    "grid-ml-p2.0-r6-d3": "0e49ed0cd9838958",
+    "grid-ml-p2.0-r6-d3": "9a0e31872d4f69c1",
     "grid-ml-p3.0-r0-d2": "ddcb48d55ef82f61",
     "grid-ml-p3.0-r0-d3": "212600235c8a942b",
     "grid-ml-p3.0-r1-d2": "210605d6c91f55cc",
-    "grid-ml-p3.0-r1-d3": "19890aa6a9a7866e",
+    "grid-ml-p3.0-r1-d3": "53998d8c3cafc99d",
     "grid-ml-p3.0-r6-d2": "06514abd95b8f677",
-    "grid-ml-p3.0-r6-d3": "baacd825c0c055c0",
+    "grid-ml-p3.0-r6-d3": "5ab7da124a86a012",
     "grid-ml-p3.5-r0-d2": "0aa3f6866565a376",
     "grid-ml-p3.5-r0-d3": "d07e387eb17920a7",
     "grid-ml-p3.5-r1-d2": "83dd9125e133e946",

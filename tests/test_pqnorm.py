@@ -47,6 +47,13 @@ def test_holder_dual_guards():
         holder_dual(np.zeros(3), 1.5)
 
 
+def test_chol_psd_falls_back_to_clipped_eigenvalues():
+    # eigenvalues 3 and -1: no jitter up to 1e-6 gives a Cholesky factor, so the
+    # factor is the eigenbasis with the negative eigenvalue clipped to 0
+    L = pqnorm._chol_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert np.allclose(L @ L.T, np.full((2, 2), 1.5), rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("scale", [1e300, 1e-300])
 @pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 1.9])
 def test_holder_dual_survives_extreme_scales(q, scale):

@@ -58,6 +58,11 @@ def test_sample_pgauss_rejects_inf():
         sample_pgauss(4, INF, derive_rng(0))
 
 
+def test_sample_pgauss_rejects_empty():
+    with pytest.raises(DomainError, match="n >= 1"):
+        sample_pgauss(0, 3.0, derive_rng(0))
+
+
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_pgauss_pth_moment(p):
     # E|xi|^p = 1/p for the target density

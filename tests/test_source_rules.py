@@ -47,6 +47,26 @@ def test_one_first_slot_contraction():
     assert calls == [("tensor.py", "slot_bounds")]
 
 
+def test_one_scale_safe_norm():
+    # validation.row_norms is the one power sum, root and under- or overflow
+    # rescue: no other module reads TINY, and each norm below comes from it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    readers = sorted({name for name, tree in trees.items()
+                      for node in ast.walk(tree)
+                      if "TINY" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                    getattr(node, "name", None))})
+    assert readers == ["validation.py"]
+    callers = {(name, func.name)
+               for name, tree in trees.items()
+               for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "row_norms"}
+    assert callers >= {("validation.py", "lp_norm"), ("tensor.py", "holder_rows"),
+                       ("sampler.py", "draw_candidates"), ("pqnorm.py", "_solve_chunk")}
+
+
 def test_only_the_relaxation_raises_convergence_errors():
     # exit 5 means a relaxation solve did not converge, and nothing else
     raisers = sorted({path.name

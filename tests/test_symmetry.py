@@ -109,6 +109,8 @@ def test_rebalance_blocks_unit_norms(rng, p):
     for z in out:
         assert abs(lp_norm(z, p) - 1.0) <= 1e-10
     assert eval_multilinear(A, out) >= v0 - 1e-12
+    with pytest.raises(ShapeError, match="need 3 blocks"):
+        rebalance_blocks(A, zs[:2], p)
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, INF])

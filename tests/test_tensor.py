@@ -219,6 +219,45 @@ def test_holder_rows_stack_equals_one_row_calls(q):
         assert out[i] @ Y[i] == pytest.approx(lp_norm(Y[i], q), rel=1e-12)
 
 
+_NORM_EXPONENTS = (4.0 / 3.0, 1.5, 2.0, 3.0, 3.5, 4.0)
+
+
+@pytest.mark.parametrize("e", _NORM_EXPONENTS + tuple(1.0 / r for r in _NORM_EXPONENTS))
+def test_vectorized_pow_rounds_alike_at_every_length_and_stride(e):
+    # row_norms takes every power and root with numpy's vectorized pow, and a row of
+    # a stack keeps the bits of that row alone only if the pow rounds a value the
+    # same whatever the length, offset and stride of the array holding it
+    rng = np.random.default_rng(36)
+    x = np.abs(rng.standard_normal(2000)) * 10.0 ** rng.uniform(-30.0, 30.0, 2000)
+    whole = (x ** e).tobytes()
+    for n in range(1, 34):
+        assert np.concatenate([x[i:i + n] ** e for i in range(0, len(x), n)]).tobytes() == whole
+    for step in (2, 3, 7):
+        assert (x[::step] ** e).tobytes() == (x ** e)[::step].tobytes()
+    column = np.stack([x, x[::-1]], axis=1)[:, 0]  # a strided view of x's values
+    assert (column ** e).tobytes() == whole
+
+
+@pytest.mark.parametrize("r", _NORM_EXPONENTS)
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160])
+def test_row_norms_stack_equals_one_row_calls(r, scale):
+    # rows at the scale under test among rows at scale 1 and a zero row: at 1e-170
+    # and 1e160 their power sums under- or overflow for r >= 2 and are rescued
+    rng = np.random.default_rng(37)
+    X = rng.standard_normal((12, 7)) * np.where(np.arange(12) % 3, scale, 1.0)[:, None]
+    X[5] = 0.0
+    out = row_norms(X, r)
+    solo = np.concatenate([row_norms(X[i:i + 1], r) for i in range(len(X))])
+    assert out.tobytes() == solo.tobytes()
+    assert out[5] == 0.0 and (out[np.arange(12) != 5] > 0.0).all()
+
+
+def test_row_norms_of_no_rows():
+    for r in (1.0, 2.0, 3.0, INF):
+        assert row_norms(np.zeros((0, 4)), r).shape == (0,)
+    assert lp_norm([], 3.0) == 0.0 and lp_norm([], INF) == 0.0
+
+
 def test_doc_roundtrip(rng):
     A = rng.standard_normal((2, 3))
     A[0, 1] = 0.0
@@ -250,11 +289,27 @@ def test_doc_duplicates_accumulate():
         {"dims": [2, 2]},
         {"dims": [2, 2], "coo": [[1, 1.0]]},
         {"dims": [2, 2], "coo": [[3, 1, 1.0]]},
+        # dims and indices are JSON integers, values JSON numbers; none is truncated
+        {"dims": [2.7, 2], "coo": []},
+        {"dims": [True, 2], "coo": []},
+        {"dims": [2, 2], "coo": [[1.9, 1, 1.0]]},
+        {"dims": [2, 2], "coo": [[True, 1, 1.0]]},
+        {"dims": [2, 2], "coo": [["2", 1, 1.0]]},
+        {"dims": [2, 2], "coo": [[1, 1, "3.0"]]},
+        {"dims": [2, 2], "coo": [[1, 1, True]]},
+        {"dims": [2], "dense": ["1.0", "2.0"]},
+        {"dims": [2], "dense": [True, False]},
+        {"dims": [2], "dense": [1.0, None]},
     ],
 )
 def test_doc_rejects_malformed(doc):
     with pytest.raises(ShapeError):
         tensor_from_doc(doc)
+
+
+def test_doc_reads_integer_values():
+    assert np.array_equal(tensor_from_doc({"dims": [2], "dense": [1, 2]}).data, [1.0, 2.0])
+    assert np.array_equal(tensor_from_doc({"dims": [2], "coo": [[2, 3]]}).data, [0.0, 3.0])
 
 
 def test_doc_dense_cap(monkeypatch):

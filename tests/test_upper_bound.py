@@ -12,7 +12,7 @@ from lpmax.oracle import exact_ml_linf, grid_hp
 from lpmax.tensor import form_bound
 from lpmax.validation import INF, conjugate_exponent
 
-from closed_form import diagonal, rank_one
+from closed_form import diagonal, diagonal_opt, rank_one
 from supersym import random_supersym
 
 _SCALES = (1.0, 1e-170, 1e160)
@@ -61,6 +61,23 @@ def test_polynomial_upper_bound_caps_the_grid_oracle(d, p):
         cert = solve_hp(HpInstance(S, p, SolverConfig(seed=k, trials=8, max_samples=4)))
         found = grid_hp(S, p, 9, refine=4).value
         assert cert.value <= cert.upper_bound and found <= cert.upper_bound, (d, p, k)
+
+
+def test_polynomial_certificates_on_diagonal_optima():
+    # f(x) = sum_i lambda_i x_i^d: at odd d a sign flip of x_i flips its term, so
+    # OPT is the multilinear closed form; at even d only the positive lambda_i
+    # count, and OPT is 0 when none is
+    rng = np.random.default_rng(920)
+    cases = itertools.product((3, 4), (3, 5, 8), (3.0, 4.0, INF), _SCALES)
+    for k, (d, n, p, scale) in enumerate(cases):
+        A, opt = diagonal(rng, n, d, p, scale)
+        if d % 2 == 0:
+            lam = A[(np.arange(n),) * d]
+            opt = diagonal_opt(lam[lam > 0.0], d, p) if (lam > 0.0).any() else 0.0
+        cert = solve_hp(HpInstance(A, p, SolverConfig(seed=k, trials=4, max_samples=2)))
+        case = (d, n, p, scale)
+        assert cert.value <= opt * (1 + 1e-12), case
+        assert opt <= cert.upper_bound, case
 
 
 def test_form_bound_memory_is_bounded():

@@ -80,11 +80,11 @@ def test_lp_norm_special_cases():
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 7.0])
 def test_lp_norm_is_scale_safe(p):
-    # a power sum that under- or overflows is taken over x / max|x| instead, as in
-    # tensor.row_norms; every sum inside [smallest normal, inf) keeps its plain bits
+    # lp_norm is row_norms of one row: a power sum that under- or overflows is taken
+    # over x / max|x| instead; every sum inside [smallest normal, inf) keeps its plain bits
     x = np.random.default_rng(71).standard_normal(5)
     plain = lp_norm(x, p)
-    assert plain == float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+    assert plain == float((np.sum(np.abs(x) ** p, keepdims=True) ** (1.0 / p))[0])
     for scale in (1e-100, 1e-200, 1e100, 1e200):
         assert lp_norm(scale * x, p) == pytest.approx(scale * plain, rel=1e-12)
     assert lp_norm(np.zeros(3), p) == 0.0

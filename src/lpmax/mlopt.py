@@ -29,9 +29,10 @@ matrices, the dual steps bring the bound to within about 1 % of the
 relaxation value, so the first stack of solves holds nearly every candidate
 that can win, and a level's cost does not swing with how loose its bounds
 happen to be.  Candidates are visited in descending-bound order, ties by
-index, and the level stops at the first bound strictly below the best
-rounded value found so far.  No skipped candidate could win or tie the
-winner, so xs and value are those of a level that solves every candidate.
+index, and the level stops at the first bound strictly below the best value
+found so far on it or on any level above it (a level that stops before its
+first candidate returns none).  No skipped candidate could win or tie a
+winner, so xs and value are those of levels that solve every candidate.
 The distinct matrices not yet solved go to stacked relaxation solves
 (:func:`lpmax.pqnorm.solve_vecp_stack`), _STACK at a time in visiting order;
 candidates that contract to the same matrix reuse that solve within a
@@ -126,7 +127,7 @@ def _solve_d2(arr: np.ndarray, p: float, cfg: SolverConfig, rng, memo: dict):
 
 
 def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tuple,
-               memo: dict):
+               memo: dict, above: float = -np.inf):
     d = arr.ndim
     if d == 2:
         return _solve_d2(arr, p, cfg, derive_rng(root, *path, STREAM_TRIALS), memo)
@@ -148,18 +149,21 @@ def _solve_rec(arr: np.ndarray, p: float, cfg: SolverConfig, root: int, path: tu
     order = sorted(range(M), key=lambda i: (-bounds[i], i))
     best, best_value = None, -np.inf
     for k, i in enumerate(order):
-        if bounds[i] < best_value:
-            break  # no candidate from here on can win or tie
+        floor = max(best_value, above)
+        if bounds[i] < floor:
+            break  # no candidate from here on can win or tie, here or at a level above
         sub = subs[i]
         if not sub.any():
             # valid zero-scoring candidate: fill remaining slots with basis vectors
             xs, value = [np.eye(n)[0] for n in sub.shape], 0.0
         else:
             if sub.ndim == 2 and _key(sub) not in memo:
-                _solve_next((subs[j] for j in order[k:] if bounds[j] >= best_value), p, cfg, memo)
-            xs, value = _solve_rec(sub, p, cfg, root, path + (i,), memo)
-        if value > best_value or (value == best_value and i < best):  # ties -> first index
-            best, best_value, best_xs = i, value, xs
+                _solve_next((subs[j] for j in order[k:] if bounds[j] >= floor), p, cfg, memo)
+            xs, value = _solve_rec(sub, p, cfg, root, path + (i,), memo, floor)
+        if xs is not None and (value > best_value or (value == best_value and i < best)):
+            best, best_value, best_xs = i, value, xs  # ties -> first index
+    if best is None:
+        return None, -np.inf  # every candidate was under an ancestor's best
     xs = [xis[best].copy()] + list(best_xs)
     return xs, eval_multilinear(arr, xs)
 

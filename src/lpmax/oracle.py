@@ -7,6 +7,9 @@ gridded -- for fixed partial contraction w the best remaining vector is the
 Holder dual (tensor.holder_rows, which the relaxation solver's length updates
 share), worth exactly ||w||_q -- which removes one exponential factor.
 
+Every enumerated slot runs over its rows up to sign: a row and its negation
+leave contractions of the same norm, and the row comes first in grid order,
+so the first best point of a scan of both signs is always in the half.
 Every enumerated slot but the last is bound-and-pruned (see _scan_ml).
 Offers are ranked by value and then by their position in a scan in grid
 order, so the k best are the same whatever order the rows are visited in.
@@ -16,9 +19,10 @@ visit costs more than that, and the block ends at the first bound under the
 k-th best offer.  No skipped row could have placed an offer, so the scan
 returns what a full scan in grid order returns, bit for bit.
 
-Grids are nested: the axis for `steps` is linspace(-1, 1, steps), so
-refining steps -> 2*steps - 1 keeps every old point and the scan maximum is
-exactly monotone.  An optional `refine` stage polishes the best grid points
+Grids are nested: the axis for `steps` is a = linspace(-1, 1, steps) made
+antisymmetric, (a - a[::-1]) / 2, so refining steps -> 2*steps - 1 keeps
+every old point and the scan maximum is exactly monotone.  An optional
+`refine` stage polishes the best grid points, distinct up to sign
 (coordinate ascent for multilinear scans, shrinking local windows for
 polynomial scans); it only ever increases the reported lower bound.
 """
@@ -67,11 +71,10 @@ class OracleResult:
 # exact enumeration at p = inf
 # ---------------------------------------------------------------------------
 
-def _sign_chunks(n, pin_first=False):
-    """All +-1 vectors of length n in product order, as _CHUNK-row blocks;
-    pin_first fixes coordinate 0 to +1."""
-    signs = np.array([1.0, -1.0])
-    return _mesh_rows([np.ones(1) if pin_first and k == 0 else signs for k in range(n)])
+def _sign_chunks(n):
+    """The +-1 vectors of length n up to sign, coordinate 0 fixed to +1, in
+    product order as _CHUNK-row blocks."""
+    return _mesh_rows([np.ones(1)] + [np.array([1.0, -1.0])] * (n - 1))
 
 
 def exact_ml_linf(A) -> OracleResult:
@@ -80,8 +83,8 @@ def exact_ml_linf(A) -> OracleResult:
     Slots 1..d-1 are enumerated over the +-1 vertices (the optimum of a
     multilinear form over a product of boxes is attained at vertices); the
     last slot is resolved in closed form as the l1 norm of the remaining
-    contraction.  Flipping every sign in slot 1 negates that contraction and
-    leaves its l1 norm unchanged, so slot 1's first coordinate is pinned.
+    contraction.  Flipping every sign in a slot negates that contraction and
+    leaves its l1 norm unchanged, so every slot's first coordinate is pinned.
     """
     A = as_tensor(A)
     if A.order < 2:
@@ -91,9 +94,7 @@ def exact_ml_linf(A) -> OracleResult:
             f"vertex enumeration gate exceeded: sum(dims)={sum(A.dims)} > {_SIGN_GATE}"
         )
     top = _TopK(1)
-    sources = _slot_sources((partial(_sign_chunks, n, pin_first=(i == 0)),
-                             2 ** (n - 1 if i == 0 else n))
-                            for i, n in enumerate(A.dims[:-1]))
+    sources = _slot_sources((partial(_sign_chunks, n), 2 ** (n - 1)) for n in A.dims[:-1])
     _scan_ml(A.data, sources, 1.0, top)
     xs = _complete(A.data, top.best[1], 1.0)
     value = eval_multilinear(A, list(xs))
@@ -138,17 +139,17 @@ def _surface_count(n, steps):
 
 def _sphere_chunks(n, steps, p):
     """Blocks of unit-L_p-norm rows covering the radial image of the cube
-    surface; each surface point is generated exactly once (indexed by the
-    first coordinate attaining magnitude 1)."""
+    surface up to sign: face k holds the points whose first coordinate of
+    magnitude 1 is coordinate k, and is +1.  The axis is antisymmetric, so
+    the twin -x of every row is a grid point, the one on face k's -1 side."""
     full = np.linspace(-1.0, 1.0, steps)
+    full = (full - full[::-1]) / 2.0  # equals linspace where steps - 1 is a power of two
     inner = full[1:-1]
     for k in range(n):
-        for sgn in (1.0, -1.0):
-            axes = [inner] * k + [np.array([sgn])] + [full] * (n - 1 - k)
-            for block in _mesh_rows(axes):
-                if p != INF:  # rows of the cube surface already have sup-norm 1
-                    block = block / row_norms(block, p)[:, None]
-                yield block
+        for block in _mesh_rows([inner] * k + [np.ones(1)] + [full] * (n - 1 - k)):
+            if p != INF:  # rows of the cube surface already have sup-norm 1
+                block = block / row_norms(block, p)[:, None]
+            yield block
 
 
 def _check_grid_args(p, steps):
@@ -226,8 +227,8 @@ def _slot_sources(slots):
     _scan_ml calls an inner slot's source once per row of the slots before
     it, so an inner slot of at most _CHUNK rows is built once and replayed
     block for block; slot 1 and larger slots stream.  A slot of n
-    coordinates has at least 2^n rows, so a replayed slot holds at most
-    _CHUNK * 16 doubles (8 MiB)."""
+    coordinates has at least 2^(n-1) rows up to sign, so a replayed slot
+    holds at most _CHUNK * 17 doubles (8.5 MiB)."""
     sources = []
     for i, (blocks, rows) in enumerate(slots):
         if i > 0 and rows <= _CHUNK:
@@ -349,8 +350,8 @@ def grid_ml(A, p, steps, refine=0) -> OracleResult:
         raise ResourceLimitError(f"grid budget exceeded: {total} > {GRID_BUDGET}")
     q = conjugate_exponent(p)
     top = _TopK(max(1, refine))
-    sources = _slot_sources((partial(_sphere_chunks, n, steps, p), _surface_count(n, steps))
-                            for n in A.dims[:-1])
+    sources = _slot_sources((partial(_sphere_chunks, n, steps, p),
+                             _surface_count(n, steps) // 2) for n in A.dims[:-1])
     _scan_ml(A.data, sources, q, top)
     candidates = [top.best]
     if refine > 0:
@@ -417,10 +418,10 @@ def _poly_rows(arr, X):
 def grid_hp(A, p, steps, refine=0) -> OracleResult:
     """Grid-scan lower bound for a super-symmetric polynomial over the L_p ball.
 
-    Scans the radial grid on the sphere; since f is d-homogeneous the ball
-    optimum is max(0, sphere optimum), with the zero vector as witness when
-    every sphere value is negative.  refine > 0 runs that many shrinking
-    local-window rounds around the best point.
+    Scans the radial grid on the sphere up to sign (f(-x) = (-1)^d f(x));
+    since f is d-homogeneous the ball optimum is max(0, sphere optimum), with
+    the zero vector as witness when every sphere value is negative.  refine >
+    0 runs that many shrinking local-window rounds around the best point.
     """
     A = as_tensor(A)
     p, steps = _check_grid_args(p, steps)
@@ -432,13 +433,17 @@ def grid_hp(A, p, steps, refine=0) -> OracleResult:
     total = _surface_count(n, steps) + int(refine) * 5 ** n
     if total > GRID_BUDGET:
         raise ResourceLimitError(f"grid budget exceeded: {total} > {GRID_BUDGET}")
-    arr = A.data
-    best_val, best_x = -math.inf, None
+    arr, top, start = A.data, _TopK(1), 0
     for block in _sphere_chunks(n, steps, p):
+        face = int(np.argmax(np.abs(block[0])))  # its first coordinate of magnitude 1
         vals = _poly_rows(arr, block)
-        k = int(np.argmax(vals))
-        if float(vals[k]) > best_val:
-            best_val, best_x = float(vals[k]), block[k].copy()
+        i = int(np.argmax(vals))
+        top.offer(float(vals[i]), block[i].copy(), (face, 0, start + i))
+        if A.order % 2:  # the -x twins of a face follow it in grid order, rows reversed
+            j = len(vals) - 1 - int(np.argmin(vals[::-1]))
+            top.offer(-float(vals[j]), 0.0 - block[j], (face, 1, -(start + j)))  # 0.0, not -0.0
+        start += len(block)
+    best_val, best_x = top.best
     step = 2.0 / (steps - 1)
     h = step
     for _ in range(int(refine)):

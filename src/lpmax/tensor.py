@@ -301,10 +301,11 @@ def tensor_from_doc(doc: Mapping) -> Tensor:
     if size > DENSE_CAP:
         raise ResourceLimitError(f"{size} entries exceeds the dense cap of {DENSE_CAP}")
     if "dense" in doc:
-        arr = np.asarray(doc["dense"])
-        if arr.dtype.kind not in "iuf":
-            raise ShapeError(f"dense payload must hold numbers, got dtype {arr.dtype}")
-        return Tensor(arr.reshape(dims))
+        arr = np.asarray(doc["dense"], dtype=object)
+        kinds = set(map(type, arr.flat))  # a boolean leaf too: numpy would read true as 1
+        if not all(issubclass(t, (int, float)) and t is not bool for t in kinds):
+            raise ShapeError("dense payload must hold JSON numbers only")
+        return Tensor(arr.astype(float).reshape(dims))
     if "coo" not in doc:
         raise ShapeError('tensor document needs a "coo" or "dense" field')
     arr = np.zeros(dims)

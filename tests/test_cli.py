@@ -150,8 +150,10 @@ def test_exit_code_parse_errors(runner, files):
 
 
 def test_exit_code_non_integer_document(runner, tmp_path):
-    # a document the reader used to truncate: dims 2.7 and index 1.9
-    for doc in ('{"dims": [2.7, 2], "coo": []}', '{"dims": [2, 2], "coo": [[1.9, 1, 1.0]]}'):
+    # documents the reader used to truncate or coerce: dims 2.7, index 1.9, a
+    # boolean among the numbers of a dense payload
+    for doc in ('{"dims": [2.7, 2], "coo": []}', '{"dims": [2, 2], "coo": [[1.9, 1, 1.0]]}',
+                '{"dims": [2, 2], "dense": [1.5, true, 2, 3]}'):
         bad = tmp_path / "bad.json"
         bad.write_text(doc)
         res = runner.invoke(main, ["solve-ml", str(bad), "--p", "inf"])

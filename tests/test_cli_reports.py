@@ -83,7 +83,7 @@ CASES = {
 
 PINNED = {
     "cfg-hp": "8fe3cb76489c8570",
-    "cfg-ml": "fbf13982f6035d4e",
+    "cfg-ml": "914e4eca366e2f41",
     "cfg-ml-flag-wins": "8a2f738e8c51ba13",
     "cfg-oracle": "f832e29a960d1d9f",
     "cfg-pq": "d57a0c8a8daa09d9",
@@ -115,11 +115,11 @@ PINNED = {
     "ml-d2-hyperplane": "d270ec6d783d8d03",
     "ml-json": "541cb2172b07a1e7",
     "ml-oracle": "3a7d2aa95b85f1ea",
-    "ml-oracle-grid": "7422a6fb2c925e15",
+    "ml-oracle-grid": "6cf628099c28c440",
     "ml-text": "7dee8941c9f3953a",
     "oracle-hp": "6bbb16f4db8cccd8",
     "oracle-ml": "5fd0fa33c2584e18",
-    "oracle-ml-grid": "4c897e00193ff394",
+    "oracle-ml-grid": "76f27d114417257d",
     "oracle-pqnorm": "6cef38fa63163fb4",
     "pq-json": "6ae044e8bf454678",
     "pq-max-samples": "f918e2693bcda31b",

@@ -249,6 +249,30 @@ def test_pruned_levels_equal_unpruned_levels(monkeypatch, kind, scale, d, p):
 
 
 @pytest.mark.parametrize("scale", _SCALES)
+@pytest.mark.parametrize("d, p", [(4, 4.0), (4, INF), (5, 4.0), (5, INF)])
+def test_incumbent_passed_down_keeps_xs_and_value(monkeypatch, d, p, scale):
+    # a level also skips every candidate under the best of any level above
+    # it; a level that keeps no candidate returns none, and its parent goes on
+    A = scale * np.random.default_rng(405).standard_normal(_PRUNE_DIMS[d])
+    inst = MlInstance(A, p, SolverConfig(seed=d, trials=24, max_samples=24 // (d - 2)))
+    kept_none = []
+    solve_rec = mlopt._solve_rec
+
+    def recording(*args):
+        xs, value = solve_rec(*args)
+        kept_none.append(xs is None)
+        return xs, value
+
+    monkeypatch.setattr(mlopt, "_solve_rec", recording)
+    pruned = solve_ml(inst)
+    assert any(kept_none)
+    monkeypatch.setattr(mlopt, "slot_bounds", lambda arr, X, q, steps: np.full(len(X), np.inf))
+    full = solve_ml(inst)
+    assert [x.tobytes() for x in pruned.xs] == [x.tobytes() for x in full.xs]
+    assert pruned.value == full.value
+
+
+@pytest.mark.parametrize("scale", _SCALES)
 def test_slot_bounds_ignore_the_rows_sign(scale):
     # a level bounds each candidate once up to sign, so -x must get x's bound bit for bit
     rng = np.random.default_rng(341)
@@ -270,10 +294,10 @@ def _level_work(monkeypatch):
     paths, bounded, contracted = [], collections.Counter(), collections.Counter()
     solve_rec, bounds, contract = mlopt._solve_rec, mlopt.slot_bounds, mlopt.contract_first
 
-    def recording(arr, p, cfg, root, path, memo):
+    def recording(arr, p, cfg, root, path, memo, *above):
         paths.append(path)
         try:
-            return solve_rec(arr, p, cfg, root, path, memo)
+            return solve_rec(arr, p, cfg, root, path, memo, *above)
         finally:
             paths.pop()
 
@@ -346,10 +370,10 @@ def test_order_four_top_level_prunes(monkeypatch):
     recursed = []
     solve_rec = mlopt._solve_rec
 
-    def recording(arr, p, cfg, root, path, memo):
+    def recording(arr, p, cfg, root, path, memo, *above):
         if len(path) == 1:
             recursed.append(path[0])
-        return solve_rec(arr, p, cfg, root, path, memo)
+        return solve_rec(arr, p, cfg, root, path, memo, *above)
 
     monkeypatch.setattr(mlopt, "_solve_rec", recording)
     A = np.random.default_rng(1).standard_normal((3, 2, 2, 3))

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import lpmax
-from lpmax import oracle, tensor
+from lpmax import oracle, tensor, validation
 from lpmax.errors import DomainError, ResourceLimitError, ShapeError
 from lpmax.oracle import (
     OracleMethod,
@@ -182,8 +183,8 @@ def test_grid_ml_budget_and_arg_guards(rng):
 
 
 @pytest.mark.parametrize("dims, steps, calls", [
-    ((3, 3, 3), 5, 2),        # the 98-row inner slot is built once
-    ((1, 3, 2), 106, 3),      # a 66,152-row inner slot streams once per outer row
+    ((3, 3, 3), 5, 2),        # the 49-row inner slot is built once
+    ((1, 3, 2), 150, 2),      # a 66,604-row inner slot streams once per outer row
 ])
 def test_grid_ml_builds_each_inner_slot_once(monkeypatch, dims, steps, calls):
     made = []
@@ -196,6 +197,9 @@ def test_grid_ml_builds_each_inner_slot_once(monkeypatch, dims, steps, calls):
     monkeypatch.setattr(oracle, "_sphere_chunks", counting)
     grid_ml(np.random.default_rng(4).standard_normal(dims), 3.0, steps=steps)
     assert len(made) == calls
+    # a replayed inner slot is built before slot 1 streams, a streamed one after
+    streamed = oracle._surface_count(dims[1], steps) // 2 > oracle._CHUNK
+    assert made[0] == (dims[0] if streamed else dims[1], steps, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +561,132 @@ def test_grid_hp_certificates_match_the_einsum_evaluator(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the scans visit every slot up to sign: against full scans of both signs
+# ---------------------------------------------------------------------------
+
+def _full_surface(n, steps, p):
+    """Every point of the radial grid, both signs, in grid order: face k (the
+    first coordinate of magnitude 1 is coordinate k) at +1, then at -1."""
+    axis = np.linspace(-1.0, 1.0, steps)
+    X = np.array([row for k in range(n) for sign in (1.0, -1.0)
+                  for row in itertools.product(*([axis[1:-1]] * k + [[sign]]
+                                                 + [axis] * (n - 1 - k)))]).reshape(-1, n)
+    return X if p == INF else X / validation.row_norms(X, p)[:, None]
+
+
+def _first_best_prefix(A, slots, q):
+    """A full scan in grid order over every row of every slot but the last,
+    each prefix scored by the L_q norm of the contraction it leaves; returns
+    the first best prefix and its score."""
+    best, best_value = None, -np.inf
+    for head in itertools.product(*(range(len(X)) for X in slots[:-1])):
+        sub = A
+        for X, i in zip(slots, head):
+            sub = np.tensordot(sub, X[i], axes=(0, 0))
+        vals = validation.row_norms(slots[-1] @ sub, q)
+        k = int(np.argmax(vals))
+        if vals[k] > best_value:
+            best_value = vals[k]
+            best = [X[i] for X, i in zip(slots, head)] + [slots[-1][k]]
+    return best, best_value
+
+
+def _int_sym(n, d, seed):
+    """An integer super-symmetric tensor: a sum of integer symmetric rank-one terms."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n,) * d)
+    for _ in range(3):
+        v = rng.integers(-1, 2, size=n).astype(float)
+        A += float(rng.integers(-2, 3)) * functools.reduce(np.multiply.outer, [v] * d)
+    return A
+
+
+# the half-scan tests run Gaussian tensors at finite p, and integer ones at
+# p = inf, where every value on the dyadic grid is exact, so distinct points tie often
+@pytest.mark.parametrize("steps", [3, 5, 9])
+@pytest.mark.parametrize("kind", ["gauss", "ints"])
+@pytest.mark.parametrize("dims", [(3, 4), (3, 2, 3), (2, 2, 2, 3)])
+def test_grid_ml_half_scan_keeps_the_full_scans_first_best(dims, kind, steps):
+    A, p = (_gauss(dims, 300 + steps), 3.0) if kind == "gauss" else (
+        _ints(dims, 300 + steps, -1, 1), INF)
+    q = conjugate_exponent(p)
+    prefix, score = _first_best_prefix(A, [_full_surface(n, steps, p) for n in dims[:-1]], q)
+    res = grid_ml(A, p, steps)
+    assert [x.tobytes() for x in res.argmax[:-1]] == [x.tobytes() for x in prefix]
+    assert res.value == pytest.approx(score, rel=1e-12)
+
+
+def _twin_first_cubic():
+    """f(x) = -2 x0^3 - 3 x0^2 x1 + 3 x0 x1^2 + 2 x1^3, whose maximum on the
+    steps-5 grid at p = inf is reached at (-1, -0.5), a -x twin on face 0,
+    and then at (0.5, 1) on face 1."""
+    return np.array([-2.0, -1.0, 1.0, 2.0])[np.indices((2, 2, 2)).sum(axis=0)]
+
+
+@pytest.mark.parametrize("chunk", [oracle._CHUNK, 4])  # 4: faces split into many blocks
+@pytest.mark.parametrize("steps", [3, 5, 9])
+@pytest.mark.parametrize("kind", ["gauss-d3", "gauss-d4", "ints-d3", "ints-d4", "twin-first"])
+def test_grid_hp_half_scan_keeps_the_full_scans_first_best(monkeypatch, kind, steps, chunk):
+    monkeypatch.setattr(oracle._mesh_rows, "__defaults__", (chunk,))
+    d = 4 if kind.endswith("d4") else 3
+    # seed 44 ties a twin of one block with a twin of another block of its face
+    A, p = {"gauss": (_sym(3, d, 320 + steps), 3.0), "ints": (_int_sym(3, d, 44), INF),
+            "twin-first": (_twin_first_cubic(), INF)}[kind.split("-d")[0]]
+    n = A.shape[0]
+    X = _full_surface(n, steps, p)
+    vals = _einsum_rows(A, X)
+    k = int(np.argmax(vals))
+    res = grid_hp(A, p, steps)
+    if vals[k] < 0.0:
+        assert res.argmax[0].tobytes() == np.zeros(n).tobytes() and res.value == 0.0
+    else:
+        assert res.argmax[0].tobytes() == X[k].tobytes()
+        assert res.value == pytest.approx(vals[k], rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["gauss", "ints"])
+@pytest.mark.parametrize("dims", [(3, 2, 3), (2, 3, 2, 2)])
+def test_exact_matches_brute_force_over_every_sign(dims, kind):
+    A = _gauss(dims, 330) if kind == "gauss" else _ints(dims, 331, -1, 1)
+    signs = [np.array(list(itertools.product((1.0, -1.0), repeat=n))) for n in dims[:-1]]
+    prefix, score = _first_best_prefix(A, signs, 1.0)
+    res = exact_ml_linf(A)
+    assert [x.tobytes() for x in res.argmax[:-1]] == [x.tobytes() for x in prefix]
+    assert res.value == pytest.approx(score, rel=1e-12)
+    brute = max(eval_multilinear(A, [np.array(x) for x in xs])
+                for xs in itertools.product(*(itertools.product((1.0, -1.0), repeat=n)
+                                              for n in dims)))
+    assert res.value == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("dims, p, steps", [((3, 3), 3.0, 9), ((2, 3, 2), 4.0, 7),
+                                            ((3, 3, 3), INF, 5)])
+def test_refine_items_hold_no_pair_of_twins(monkeypatch, dims, p, steps):
+    # a prefix and its negation in every slot score the same, so a scan of
+    # both signs kept twins side by side; refine would polish both alike
+    tops = []
+
+    class Recording(oracle._TopK):
+        def __init__(self, k):
+            super().__init__(k)
+            tops.append(self)
+
+    monkeypatch.setattr(oracle, "_TopK", Recording)
+    grid_ml(_gauss(dims, 340), p, steps, refine=6)
+    (top,) = tops
+    assert len(top.items) > 1
+    for (_, a), (_, b) in itertools.combinations(top.items, 2):
+        assert not all(np.array_equal(x, y) or np.array_equal(x, -y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("steps", [2, 3, 5, 9, 17, 33, 65, 129])
+def test_symmetric_axis_equals_linspace(steps):
+    # face 0 of a 2-coordinate slot is (1, a) for every a on the axis
+    block = next(oracle._sphere_chunks(2, steps, INF))
+    assert block[:, 1].tobytes() == np.linspace(-1.0, 1.0, steps).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # fn_check and the equivalence check
 # ---------------------------------------------------------------------------
 
@@ -663,13 +793,13 @@ for _i, (_p, _r) in enumerate(itertools.product((2.0, 3.0, 3.5, 4.0, INF), (0, 1
         lambda p=_p, r=_r, s=30 + _i: grid_ml(_gauss((3, 3), s), p, steps=9, refine=r))
     ORACLE_CASES[f"grid-ml-p{_p}-r{_r}-d3"] = (
         lambda p=_p, r=_r, s=60 + _i: grid_ml(_gauss((2, 3, 2), s), p, steps=7, refine=r))
-# two inner slots; the benchmark's 3x3x3 scale; an inner slot of 66,152 rows,
+# two inner slots; the benchmark's 3x3x3 scale; an inner slot of 66,604 rows,
 # past the size up to which an inner slot is built once, so it streams
 for _r in (0, 6):
     ORACLE_CASES[f"grid-ml-r{_r}-d4"] = (
         lambda r=_r: grid_ml(_gauss((2, 2, 2, 2), 91), 3.0, steps=7, refine=r))
 ORACLE_CASES["grid-ml-3x3x3-s17"] = lambda: grid_ml(_gauss((3, 3, 3), 92), 3.0, 17, 6)
-ORACLE_CASES["grid-ml-inner-streamed"] = lambda: grid_ml(_gauss((1, 3, 2), 93), 4.0, 106)
+ORACLE_CASES["grid-ml-inner-streamed"] = lambda: grid_ml(_gauss((1, 3, 2), 93), 4.0, 150)
 ORACLE_CASES["grid-ml-int-ties"] = lambda: grid_ml(_ints((3, 2, 3), 90, -1, 1), 4.0, 5, 2)
 ORACLE_CASES["grid-ml-zero-slice"] = lambda: grid_ml(_single((2, 2, 3), (0, 1, 2), 1.0),
                                                      3.0, 5, 1)
@@ -741,31 +871,31 @@ PINNED_ORACLES = {
     "grid-hp-pinf-r8-d4": "f9f96f626bd6f927",
     "grid-ml-3x3x3-s17": "b9e7d0897dd1a5de",
     "grid-ml-d5": "aac7bbc7a9bfa31b",
-    "grid-ml-inner-streamed": "8ff512cea8a2b192",
-    "grid-ml-int-ties": "1d3448954168f895",
+    "grid-ml-inner-streamed": "befdb4914016980a",
+    "grid-ml-int-ties": "e17f2a55b9efc0d8",
     "grid-ml-long-last-slot": "103468660fee76c1",
     "grid-ml-p2.0-r0-d2": "1667af49e0b33366",
-    "grid-ml-p2.0-r0-d3": "79e71bc53f88434a",
+    "grid-ml-p2.0-r0-d3": "5532dd71999356ee",
     "grid-ml-p2.0-r1-d2": "9f9d0acd11cf9d70",
     "grid-ml-p2.0-r1-d3": "ec6657a178e9428d",
     "grid-ml-p2.0-r6-d2": "fa065d99bd891471",
-    "grid-ml-p2.0-r6-d3": "9a0e31872d4f69c1",
+    "grid-ml-p2.0-r6-d3": "46ef08891324e807",
     "grid-ml-p3.0-r0-d2": "ddcb48d55ef82f61",
-    "grid-ml-p3.0-r0-d3": "212600235c8a942b",
+    "grid-ml-p3.0-r0-d3": "bf2b00a57be044b8",
     "grid-ml-p3.0-r1-d2": "210605d6c91f55cc",
-    "grid-ml-p3.0-r1-d3": "53998d8c3cafc99d",
+    "grid-ml-p3.0-r1-d3": "3ca6aee59bf6a7ab",
     "grid-ml-p3.0-r6-d2": "06514abd95b8f677",
-    "grid-ml-p3.0-r6-d3": "5ab7da124a86a012",
+    "grid-ml-p3.0-r6-d3": "b695efe19ebdc396",
     "grid-ml-p3.5-r0-d2": "0aa3f6866565a376",
-    "grid-ml-p3.5-r0-d3": "d07e387eb17920a7",
+    "grid-ml-p3.5-r0-d3": "21e605b20286ce3f",
     "grid-ml-p3.5-r1-d2": "83dd9125e133e946",
     "grid-ml-p3.5-r1-d3": "f47b6c62fbcc1900",
     "grid-ml-p3.5-r6-d2": "369039715f9d0833",
-    "grid-ml-p3.5-r6-d3": "d1df4a3711b1ec62",
+    "grid-ml-p3.5-r6-d3": "0fec5d9f031c01f8",
     "grid-ml-p4.0-r0-d2": "45edce3432cab10c",
-    "grid-ml-p4.0-r0-d3": "a61e93b07c86f2f2",
+    "grid-ml-p4.0-r0-d3": "d7ca8ff8abfe854a",
     "grid-ml-p4.0-r1-d2": "5fc42c4b787b3854",
-    "grid-ml-p4.0-r1-d3": "71edd2e6d970bcab",
+    "grid-ml-p4.0-r1-d3": "97c43318a8ac203a",
     "grid-ml-p4.0-r6-d2": "12b4dc68ed53c66a",
     "grid-ml-p4.0-r6-d3": "8ad43730231002d5",
     "grid-ml-pinf-int-ties": "01f398fec3f27d81",
@@ -775,8 +905,8 @@ PINNED_ORACLES = {
     "grid-ml-pinf-r1-d3": "f7c01c7e93b83906",
     "grid-ml-pinf-r6-d2": "b7bb653efd5bf459",
     "grid-ml-pinf-r6-d3": "2728d4625bb1769a",
-    "grid-ml-r0-d4": "dc57dd49c37c10e8",
-    "grid-ml-r6-d4": "4fb914238f190be6",
+    "grid-ml-r0-d4": "6e553952f60b1f93",
+    "grid-ml-r6-d4": "a095a5be67748d5b",
     "grid-ml-rank-one-on-grid": "35d03e45f8efeb6d",
     "grid-ml-zero-slice": "0098195e372a1c9f",
     "sym-cube-inf-check": "True",

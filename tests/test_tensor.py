@@ -300,6 +300,10 @@ def test_doc_duplicates_accumulate():
         {"dims": [2], "dense": ["1.0", "2.0"]},
         {"dims": [2], "dense": [True, False]},
         {"dims": [2], "dense": [1.0, None]},
+        # a boolean among numbers: numpy reads it as 1 or 0
+        {"dims": [2], "dense": [1, True]},
+        {"dims": [2], "dense": [1.5, True]},
+        {"dims": [2, 2], "dense": [[1.0, 2.0], [False, 3.0]]},
     ],
 )
 def test_doc_rejects_malformed(doc):
